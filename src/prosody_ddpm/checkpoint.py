@@ -10,11 +10,17 @@ Layout (all integers little-endian):
 * optional optimizer state (step count plus per-parameter moment blobs).
 
 Save -> load -> save is byte-identical; parameter order is preserved.
+Version 2 holds the fused denoiser layout (one filter+gate conv and one
+condition projection per layer, one skip projection); version 1 files
+name the unfused parameters and are rejected.  A save writes a sibling
+temporary file and renames it over the target, so a write that fails
+partway leaves the previous checkpoint intact.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -25,7 +31,7 @@ from .data import NormStats
 from .numerics import Tensor
 
 MAGIC = b"PPCK"
-VERSION = 1
+VERSION = 2
 KINDS = ("ddpm", "baseline")
 
 
@@ -118,8 +124,15 @@ def save_checkpoint(ck: Checkpoint, path) -> None:
                 out.append(struct.pack("<B", 1))
                 _pack_array(out, m)
                 _pack_array(out, ck.opt_v[name])
-    with open(path, "wb") as fh:
-        fh.write(b"".join(out))
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(b"".join(out))
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -128,6 +141,10 @@ def load_checkpoint(path) -> Checkpoint:
     if r.take(4) != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
     version = r.u("<I")
+    if version == 1:
+        raise CheckpointError(
+            f"{path}: checkpoint format v1 predates the fused denoiser layout (v2); retrain"
+        )
     if version != VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
     kind = r.s("<H")
@@ -153,6 +170,8 @@ def load_checkpoint(path) -> Checkpoint:
             if r.u("<B"):
                 opt_m[name] = _read_array(r)
                 opt_v[name] = _read_array(r)
+    if r.pos != len(r.buf):
+        raise CheckpointError(f"{path}: {len(r.buf) - r.pos} trailing bytes after the checkpoint")
     return Checkpoint(
         kind=kind,
         config=config,

@@ -125,6 +125,8 @@ def cmd_train(args, extra: list[str]) -> int:
 def cmd_sample(args, extra: list[str]) -> int:
     if extra:
         raise ConfigError(f"unexpected arguments: {extra}")
+    if args.n < 1:
+        raise ConfigError(f"-n must be at least 1, got {args.n}")
     ck = load_checkpoint(args.checkpoint)
     if ck.kind != "ddpm" and args.n > 1:
         raise ConfigError(

@@ -9,7 +9,6 @@ config hash and the checkpoint snapshot.
 from __future__ import annotations
 
 import configparser
-import dataclasses
 import hashlib
 from dataclasses import dataclass, field, fields
 
@@ -223,8 +222,3 @@ def canonical_text(config: Config) -> str:
 def config_hash(config: Config) -> str:
     return hashlib.sha256(canonical_text(config).encode("utf-8")).hexdigest()[:12]
 
-
-def copy_config(config: Config) -> Config:
-    return dataclasses.replace(
-        config, **{s: dataclasses.replace(getattr(config, s)) for s in _SECTION_ORDER}
-    )

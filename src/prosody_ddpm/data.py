@@ -432,21 +432,6 @@ def desk_bench_spec(vocab_size: int = 20) -> SyntheticSpec:
     )
 
 
-def conditional_moments(spec: SyntheticSpec, class_id: int) -> tuple[np.ndarray, np.ndarray]:
-    """Mixture mean and marginal std per dimension for one class, averaged
-    over uniformly random neighbors."""
-    cls = spec.classes[class_id]
-    w = cls.weights
-    mean = (w[:, None] * cls.means).sum(axis=0)
-    second = (w[:, None] * (np.stack([np.diag(c) for c in cls.covs]) + cls.means**2)).sum(axis=0)
-    var = second - mean**2
-    for off in (spec.mean_offset_left, spec.mean_offset_right):
-        if off is not None:
-            mean = mean + off.mean(axis=0)
-            var = var + off.var(axis=0)
-    return mean, np.sqrt(var)
-
-
 def generate_corpus(
     spec: SyntheticSpec,
     n_utterances: int,

@@ -12,11 +12,11 @@ broadcast-added to every layer's input.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import numerics as nm
-from .data import TokenSequence
 from .numerics import Rng, Tensor
 
 
@@ -84,18 +84,6 @@ class ConditionEncoder:
 
 
 @dataclass(frozen=True)
-class ConditionSequence:
-    """Per-token condition vectors paired with the tokens they came from."""
-
-    tokens: TokenSequence
-    vectors: Tensor
-
-
-def encode_condition(encoder: ConditionEncoder, tokens: TokenSequence) -> ConditionSequence:
-    return ConditionSequence(tokens=tokens, vectors=encoder.forward(tokens.as_array()))
-
-
-@dataclass(frozen=True)
 class DenoiserConfig:
     channels: int = 64
     layers: int = 10
@@ -112,8 +100,24 @@ class DenoiserConfig:
         return 1 + (self.kernel_size - 1) * sum(self.dilations())
 
 
+class Conditioning(NamedTuple):
+    """Denoiser inputs that stay fixed over a whole reverse chain."""
+
+    proj: list[Tensor]  # per layer: condition projection, (..., length, 2C)
+    skip_b: Tensor  # sum of the per-layer skip biases, (C,)
+
+
 class Denoiser:
-    """Noise predictor ``(x_t, c, t) -> eps_hat`` with ``x_t``-shaped output."""
+    """Noise predictor ``(x_t, c, t) -> eps_hat`` with ``x_t``-shaped output.
+
+    Each residual layer is DiffWave-shaped: one dilated conv with ``2C``
+    outputs (filter and gate), one ``2C``-wide condition projection, a
+    single gate primitive, and a residual 1x1.  The per-layer skip 1x1s
+    act as one projection of the concatenated gate outputs.  Everything
+    that depends only on the condition or the step is computed by
+    :meth:`condition` and :meth:`steps`, once per chain (once per step in
+    training), and passed to :meth:`forward`.
+    """
 
     def __init__(self, config: DenoiserConfig, params: dict[str, Tensor]):
         self.config = config
@@ -123,6 +127,13 @@ class Denoiser:
     def init(cls, config: DenoiserConfig, rng: Rng) -> "Denoiser":
         c = config
         ch, k = c.channels, c.kernel_size
+
+        def fused(shape, fan_in) -> Tensor:
+            # Filter then gate (or their condition projections), drawn in
+            # that order and joined on the output axis.
+            halves = [nm.uniform_fanin(rng, shape, fan_in).data for _ in range(2)]
+            return Tensor(np.concatenate(halves, axis=-1), _checked_op=None)
+
         params: dict[str, Tensor] = {
             "in.w": nm.uniform_fanin(rng, (c.features, ch), c.features),
             "in.b": nm.zeros(ch),
@@ -131,23 +142,21 @@ class Denoiser:
             "step.fc2.w": nm.uniform_fanin(rng, (c.step_hidden, ch), c.step_hidden),
             "step.fc2.b": nm.zeros(ch),
         }
+        skip_w = []
         for i in range(c.layers):
             pre = f"layer{i}"
-            params[f"{pre}.filter.w"] = nm.uniform_fanin(rng, (k, ch, ch), k * ch)
-            params[f"{pre}.filter.b"] = nm.zeros(ch)
-            params[f"{pre}.gate.w"] = nm.uniform_fanin(rng, (k, ch, ch), k * ch)
-            params[f"{pre}.gate.b"] = nm.zeros(ch)
-            params[f"{pre}.cond_f.w"] = nm.uniform_fanin(rng, (c.cond_dim, ch), c.cond_dim)
-            params[f"{pre}.cond_f.b"] = nm.zeros(ch)
-            params[f"{pre}.cond_g.w"] = nm.uniform_fanin(rng, (c.cond_dim, ch), c.cond_dim)
-            params[f"{pre}.cond_g.b"] = nm.zeros(ch)
+            params[f"{pre}.conv.w"] = fused((k, ch, ch), k * ch)
+            params[f"{pre}.conv.b"] = nm.zeros(2 * ch)
+            params[f"{pre}.cond.w"] = fused((c.cond_dim, ch), c.cond_dim)
+            params[f"{pre}.cond.b"] = nm.zeros(2 * ch)
             # The last layer feeds only the skip aggregation; a residual
             # projection there would be a dead branch.
             if i < c.layers - 1:
                 params[f"{pre}.res.w"] = nm.uniform_fanin(rng, (ch, ch), ch)
                 params[f"{pre}.res.b"] = nm.zeros(ch)
-            params[f"{pre}.skip.w"] = nm.uniform_fanin(rng, (ch, ch), ch)
-            params[f"{pre}.skip.b"] = nm.zeros(ch)
+            skip_w.append(nm.uniform_fanin(rng, (ch, ch), ch).data)
+        params["skip.w"] = Tensor(np.concatenate(skip_w, axis=0), _checked_op=None)
+        params["skip.b"] = nm.zeros((c.layers, ch))
         params["post.w"] = nm.uniform_fanin(rng, (ch, ch), ch)
         params["post.b"] = nm.zeros(ch)
         # Zero-initialized head so the initial noise estimate is exactly 0,
@@ -156,43 +165,51 @@ class Denoiser:
         params["out.b"] = nm.zeros(c.features)
         return cls(c, params)
 
-    def forward(self, x_t: Tensor, cond: Tensor, t) -> Tensor:
+    def condition(self, cond: Tensor) -> Conditioning:
+        """Chain constants for ``cond`` (``(..., length, cond_dim)``): its
+        per-layer projections and the summed skip bias."""
+        c, p = self.config, self.params
+        if cond.data.ndim < 2 or cond.shape[-1] != c.cond_dim:
+            raise nm.ShapeError("denoiser", f"condition {cond.shape} needs {c.cond_dim} channels")
+        proj = [
+            nm.matmul(cond, p[f"layer{i}.cond.w"], p[f"layer{i}.cond.b"]) for i in range(c.layers)
+        ]
+        return Conditioning(proj, nm.matmul(Tensor(np.ones(c.layers)), p["skip.b"]))
+
+    def steps(self, t) -> Tensor:
+        """Step-MLP output for a scalar step, ``(1, C)``, or an integer array
+        of steps, ``(len(t), 1, C)``; either broadcasts over positions."""
+        p = self.params
+        emb = step_embedding(t, self.config.channels)
+        if np.ndim(t) == 0:
+            emb = emb[0]
+        e = nm.matmul(Tensor(emb), p["step.fc1.w"], p["step.fc1.b"])
+        return nm.matmul(nm.silu(e), p["step.fc2.w"], p["step.fc2.b"])
+
+    def forward(self, x_t: Tensor, cond: Conditioning, e: Tensor) -> Tensor:
         """Noise estimate for ``x_t`` of shape ``(..., length, features)``.
 
-        ``cond`` must match ``x_t`` on all axes but the last; ``t`` is a
-        scalar step or an integer array with one entry per batch row.
+        ``cond`` comes from :meth:`condition` and must match ``x_t`` on all
+        axes but the last; ``e`` comes from :meth:`steps`.
         """
-        c = self.config
+        c, p = self.config, self.params
         if x_t.shape[-1] != c.features:
             raise nm.ShapeError("denoiser", f"expected {c.features} features, got {x_t.shape}")
-        if cond.shape[:-1] != x_t.shape[:-1] or cond.shape[-1] != c.cond_dim:
+        if cond.proj[0].shape[:-1] != x_t.shape[:-1]:
             raise nm.ShapeError(
-                "denoiser", f"condition {cond.shape} does not match input {x_t.shape}"
+                "denoiser", f"condition {cond.proj[0].shape} does not match input {x_t.shape}"
             )
-        p = self.params
-        emb = step_embedding(t, c.channels)
-        if x_t.data.ndim == 2:
-            emb = emb[0]
-        e = nm.add(nm.matmul(Tensor(emb), p["step.fc1.w"]), p["step.fc1.b"])
-        e = nm.add(nm.matmul(nm.silu(e), p["step.fc2.w"]), p["step.fc2.b"])
-
-        h = nm.relu(nm.add(nm.matmul(x_t, p["in.w"]), p["in.b"]))
-        skip_sum = None
+        h = nm.relu(nm.matmul(x_t, p["in.w"], p["in.b"]))
+        gated = []
         for i, dil in enumerate(c.dilations()):
             pre = f"layer{i}"
-            inp = nm.add(h, e)
-            f = nm.conv1d_dilated(inp, p[f"{pre}.filter.w"], p[f"{pre}.filter.b"], dilation=dil)
-            f = nm.add(f, nm.add(nm.matmul(cond, p[f"{pre}.cond_f.w"]), p[f"{pre}.cond_f.b"]))
-            g = nm.conv1d_dilated(inp, p[f"{pre}.gate.w"], p[f"{pre}.gate.b"], dilation=dil)
-            g = nm.add(g, nm.add(nm.matmul(cond, p[f"{pre}.cond_g.w"]), p[f"{pre}.cond_g.b"]))
-            gated = nm.mul(nm.tanh(f), nm.sigmoid(g))
+            z = nm.conv1d_dilated(nm.add(h, e), p[f"{pre}.conv.w"], p[f"{pre}.conv.b"], dil)
+            gated.append(nm.gated_tanh(nm.add(z, cond.proj[i])))
             if i < c.layers - 1:
-                h = nm.add(h, nm.add(nm.matmul(gated, p[f"{pre}.res.w"]), p[f"{pre}.res.b"]))
-            s = nm.add(nm.matmul(gated, p[f"{pre}.skip.w"]), p[f"{pre}.skip.b"])
-            skip_sum = s if skip_sum is None else nm.add(skip_sum, s)
-
-        out = nm.relu(nm.add(nm.matmul(nm.relu(skip_sum), p["post.w"]), p["post.b"]))
-        return nm.add(nm.matmul(out, p["out.w"]), p["out.b"])
+                h = nm.add(h, nm.matmul(gated[-1], p[f"{pre}.res.w"], p[f"{pre}.res.b"]))
+        skip = nm.relu(nm.matmul(nm.concat(gated), p["skip.w"], cond.skip_b))
+        out = nm.relu(nm.matmul(skip, p["post.w"], p["post.b"]))
+        return nm.matmul(out, p["out.w"], p["out.b"])
 
 
 def count_parameters(model) -> int:

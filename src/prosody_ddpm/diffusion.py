@@ -10,16 +10,11 @@ sample.  Schedule tables are precomputed once and shared read-only.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import numerics as nm
-from .data import NormStats, ProsodySequence, denormalize
 from .numerics import Gradients, Rng, Tape, Tensor
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .denoiser import ConditionSequence
 
 
 @dataclass(frozen=True)
@@ -81,20 +76,6 @@ def linear_schedule(steps: int, beta_start: float, beta_end: float) -> NoiseSche
     return NoiseSchedule(steps=steps, beta=beta, alpha=alpha, alpha_bar=alpha_bar, sigma=sigma)
 
 
-@dataclass(frozen=True)
-class DiffusionStepSample:
-    """One corrupted training example: the step, noisy features, and the
-    injected noise (which is the regression target)."""
-
-    t: int
-    x_t: np.ndarray
-    eps: np.ndarray
-
-    def __post_init__(self):
-        if self.x_t.shape != self.eps.shape:
-            raise ValueError(f"x_t shape {self.x_t.shape} != eps shape {self.eps.shape}")
-
-
 def forward_diffuse(x0: np.ndarray, t, eps: np.ndarray, sched: NoiseSchedule) -> np.ndarray:
     """Diffuse ``x0`` to step ``t``: ``sqrt(a_bar_t) x0 + sqrt(1 - a_bar_t) eps``.
 
@@ -109,12 +90,6 @@ def forward_diffuse(x0: np.ndarray, t, eps: np.ndarray, sched: NoiseSchedule) ->
     ab = sched.alpha_bar[np.asarray(t)]
     ab = np.reshape(ab, np.shape(ab) + (1,) * (x0.ndim - np.ndim(ab)))
     return np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
-
-
-def diffuse_sample(x0: np.ndarray, t: int, rng: Rng, sched: NoiseSchedule) -> DiffusionStepSample:
-    """Draw the noise and corrupt ``x0`` in one go."""
-    eps = rng.normal(np.shape(x0))
-    return DiffusionStepSample(t=t, x_t=forward_diffuse(x0, t, eps, sched), eps=eps)
 
 
 def posterior_mean(x_t: np.ndarray, eps_hat: np.ndarray, t: int, sched: NoiseSchedule) -> np.ndarray:
@@ -159,7 +134,7 @@ def training_loss_graph(
         m3 = mask[..., None]
         x_t = x_t * m3
         target = eps * m3
-    eps_hat = model.forward(Tensor(x_t), cond, t)
+    eps_hat = model.forward(Tensor(x_t), model.condition(cond), model.steps(t))
     diff = nm.sub(eps_hat, Tensor(target))
     sq = nm.mul(diff, diff)
     if mask is None:
@@ -188,19 +163,22 @@ def training_loss(
 def reverse_step(
     model,
     x_t: np.ndarray,
-    cond: Tensor,
+    cond,
+    e: Tensor,
     t: int,
     z: np.ndarray | None,
     sched: NoiseSchedule,
 ) -> np.ndarray:
     """One reverse transition ``x_t -> x_{t-1}``.
 
-    ``z`` is the injected standard normal; it is forced to zero at
-    ``t == 1`` regardless of what the caller supplies (the last step is
+    ``cond`` and ``e`` are the model's condition constants and its step
+    features for ``t`` (``model.condition``, ``model.steps``).  ``z`` is
+    the injected standard normal; it is forced to zero at ``t == 1``
+    regardless of what the caller supplies (the last step is
     deterministic, and ``sigma[1] == 0`` enforces the same thing).
     """
     sched.check_step(t)
-    eps_hat = model.forward(Tensor(x_t), cond, t).data
+    eps_hat = model.forward(Tensor(x_t), cond, e).data
     mu = posterior_mean(x_t, eps_hat, t, sched)
     if t == 1 or z is None:
         return mu
@@ -218,23 +196,16 @@ def sample_model_space(
 
     ``cond`` may be ``(length, cond_dim)`` for a single chain or
     ``(batch, length, cond_dim)`` to run independent chains of the same
-    length in lockstep (one noise draw per chain per step).
+    length in lockstep (one noise draw per chain per step).  The
+    condition projections and the step features of every ``t`` are
+    computed once, before the first step.
     """
     shape = cond.shape[:-1] + (features,)
+    constants = model.condition(cond)
+    step_features = model.steps(np.arange(1, sched.steps + 1)).data
     x = rng.normal(shape)
     for t in range(sched.steps, 0, -1):
         z = rng.normal(shape) if t > 1 else None
-        x = reverse_step(model, x, cond, t, z, sched)
+        e = Tensor(step_features[t - 1], _checked_op=None)
+        x = reverse_step(model, x, constants, e, t, z, sched)
     return x
-
-
-def sample(
-    model,
-    cond: "ConditionSequence",
-    sched: NoiseSchedule,
-    rng: Rng,
-    stats: NormStats,
-) -> ProsodySequence:
-    """Draw one prosody sequence for ``cond`` and map it to physical units."""
-    x0 = sample_model_space(model, cond.vectors, sched, rng)
-    return denormalize(x0, stats)

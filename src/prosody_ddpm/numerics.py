@@ -1,9 +1,10 @@
 """Dense float64 arrays with tape-based reverse-mode differentiation.
 
 Everything the networks in this package need runs through the small
-primitive set defined here: elementwise arithmetic, matmul, a non-causal
-dilated 1-d convolution, the usual activations, layer normalization,
-dropout, embedding lookup, and full reductions.  Each primitive computes
+primitive set defined here: elementwise arithmetic, matmul with an
+optional bias, concatenation, a non-causal dilated 1-d convolution, the
+usual activations and the WaveNet gate, layer normalization, dropout,
+embedding lookup, and full reductions.  Each primitive computes
 its forward value with numpy and, when a :class:`Tape` is active on the
 current thread, records enough state to play the step backwards.
 
@@ -308,20 +309,59 @@ def silu(x: Tensor) -> Tensor:
 # --------------------------------------------------------------------------
 
 
-def matmul(x: Tensor, w: Tensor) -> Tensor:
-    """``x @ w`` for ``x`` of shape ``(..., n)`` and 2-d ``w`` of shape ``(n, m)``."""
+def matmul(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """``x @ w (+ b)`` for ``x`` of shape ``(..., n)``, 2-d ``w`` of shape
+    ``(n, m)`` and an optional bias ``b`` of shape ``(m,)``."""
     if w.data.ndim != 2:
         raise ShapeError("matmul", f"weight must be 2-d, got shape {w.shape}")
     if x.data.ndim < 1 or x.shape[-1] != w.shape[0]:
         raise ShapeError("matmul", f"inner dims differ: {x.shape} @ {w.shape}")
+    n, m = w.shape
+    if b is not None and b.shape != (m,):
+        raise ShapeError("matmul", f"bias {b.shape} does not match out dim {m}")
     out = x.data @ w.data
+    if b is not None:
+        out += b.data
 
     def back(dout):
-        dx = dout @ w.data.T
-        dw = x.data.reshape(-1, x.shape[-1]).T @ dout.reshape(-1, w.shape[1])
-        return [(x, dx), (w, dw)]
+        dflat = dout.reshape(-1, m)
+        grads = [(x, dout @ w.data.T), (w, x.data.reshape(-1, n).T @ dflat)]
+        if b is not None:
+            grads.append((b, dflat.sum(axis=0)))
+        return grads
 
     return _emit("matmul", out, back)
+
+
+def concat(xs: Sequence[Tensor]) -> Tensor:
+    """Join tensors along the last axis; all other axes must agree."""
+    if not xs or any(x.data.ndim < 1 or x.shape[:-1] != xs[0].shape[:-1] for x in xs):
+        raise ShapeError("concat", f"shapes {[x.shape for x in xs]} differ before the last axis")
+    out = np.concatenate([x.data for x in xs], axis=-1)
+    ends = np.cumsum([x.shape[-1] for x in xs])
+
+    def back(dout):
+        return [(x, dout[..., end - x.shape[-1] : end]) for x, end in zip(xs, ends)]
+
+    return _emit("concat", out, back)
+
+
+def gated_tanh(z: Tensor) -> Tensor:
+    """WaveNet gate ``tanh(z[..., :C]) * sigmoid(z[..., C:])`` for ``2C`` channels."""
+    if z.data.ndim < 1 or z.shape[-1] % 2:
+        raise ShapeError("gated_tanh", f"last axis must hold 2C channels, got {z.shape}")
+    c = z.shape[-1] // 2
+    a = np.tanh(z.data[..., :c])
+    # tanh form of the sigmoid is overflow-free for any float64 input.
+    s = 0.5 * (1.0 + np.tanh(0.5 * z.data[..., c:]))
+
+    def back(dout):
+        dz = np.empty_like(z.data)
+        dz[..., :c] = dout * s * (1.0 - a * a)
+        dz[..., c:] = dout * a * s * (1.0 - s)
+        return [(z, dz)]
+
+    return _emit("gated_tanh", a * s, back)
 
 
 def conv1d_dilated(x: Tensor, w: Tensor, b: Tensor | None = None, dilation: int = 1) -> Tensor:
@@ -330,7 +370,10 @@ def conv1d_dilated(x: Tensor, w: Tensor, b: Tensor | None = None, dilation: int 
     ``x`` has shape ``(..., length, in_channels)``, ``w`` has shape
     ``(kernel, in_channels, out_channels)`` with odd kernel, and the input
     is zero-padded symmetrically by ``dilation * (kernel // 2)`` on both
-    sides so the output length equals the input length.
+    sides so the output length equals the input length.  The padding is
+    implicit: each off-centre tap adds into the shifted slice of the
+    output it reaches, and a tap whose offset is at least the length only
+    ever sees padding and is skipped.
     """
     if dilation < 1:
         raise ShapeError("conv1d_dilated", f"dilation must be >= 1, got {dilation}")
@@ -345,24 +388,32 @@ def conv1d_dilated(x: Tensor, w: Tensor, b: Tensor | None = None, dilation: int 
         raise ShapeError("conv1d_dilated", f"bias {b.shape} does not match out channels {c_out}")
 
     length = x.shape[-2]
-    pad = dilation * (kernel // 2)
-    widths = [(0, 0)] * (x.data.ndim - 2) + [(pad, pad), (0, 0)]
-    xp = np.pad(x.data, widths)
-    out = np.zeros(x.shape[:-1] + (c_out,), dtype=np.float64)
+    centre = kernel // 2
+    xd, wd = x.data, w.data
+    # (tap, input slice, output slice) for every off-centre tap that reaches
+    # a real position: output position p reads input position p + offset.
+    taps = []
     for k in range(kernel):
-        out += xp[..., k * dilation : k * dilation + length, :] @ w.data[k]
+        off = (k - centre) * dilation
+        if k != centre and abs(off) < length:
+            if off > 0:
+                taps.append((k, slice(off, None), slice(None, length - off)))
+            else:
+                taps.append((k, slice(None, length + off), slice(-off, None)))
+    out = xd @ wd[centre]
     if b is not None:
-        out = out + b.data
+        out += b.data
+    for k, src, dst in taps:
+        out[..., dst, :] += xd[..., src, :] @ wd[k]
 
     def back(dout):
-        dxp = np.zeros_like(xp)
-        dw = np.zeros_like(w.data)
-        dflat = dout.reshape(-1, c_out)
-        for k in range(kernel):
-            sl = xp[..., k * dilation : k * dilation + length, :]
-            dw[k] = sl.reshape(-1, c_in).T @ dflat
-            dxp[..., k * dilation : k * dilation + length, :] += dout @ w.data[k].T
-        dx = dxp[..., pad : pad + length, :]
+        dx = dout @ wd[centre].T
+        dw = np.zeros_like(wd)
+        dw[centre] = xd.reshape(-1, c_in).T @ dout.reshape(-1, c_out)
+        for k, src, dst in taps:
+            xs, ds = xd[..., src, :], dout[..., dst, :]
+            dw[k] = xs.reshape(-1, c_in).T @ ds.reshape(-1, c_out)
+            dx[..., src, :] += ds @ wd[k].T
         grads = [(x, dx), (w, dw)]
         if b is not None:
             grads.append((b, dout.reshape(-1, c_out).sum(axis=0)))

@@ -8,7 +8,6 @@ from . import diffusion
 from .baseline import baseline_predict
 from .checkpoint import Checkpoint
 from .data import NormStats, ProsodySequence, TokenSequence, denormalize
-from .denoiser import encode_condition
 from .diffusion import NoiseSchedule
 from .evaluation import Predictor
 from .numerics import Rng, Tensor
@@ -21,10 +20,6 @@ def ddpm_predictor(
     stats: NormStats,
     name: str = "ddpm",
 ) -> Predictor:
-    def one(tokens: TokenSequence, rng: Rng) -> ProsodySequence:
-        cond = encode_condition(model.cond, tokens)
-        return diffusion.sample(model.net, cond, sched, rng, stats)
-
     def many(tokens: TokenSequence, rng: Rng, n: int) -> list[ProsodySequence]:
         # Run the n chains for one utterance in lockstep; same length, so
         # they batch cleanly.
@@ -32,6 +27,9 @@ def ddpm_predictor(
         tiled = Tensor(np.broadcast_to(vec, (n,) + vec.shape).copy())
         x0 = diffusion.sample_model_space(model.net, tiled, sched, rng)
         return [denormalize(x0[i], stats) for i in range(n)]
+
+    def one(tokens: TokenSequence, rng: Rng) -> ProsodySequence:
+        return many(tokens, rng, 1)[0]
 
     return Predictor(name=name, stochastic=True, fn=one, fn_many=many)
 

@@ -47,6 +47,14 @@ def fd_check(make_loss, tensors: dict[str, nm.Tensor], probes_per_tensor: int = 
     assert not failures, f"gradient mismatches: {failures[:5]}"
 
 
+def pytest_collection_modifyitems(items):
+    # Tests that use the acceptance suite's session ``bench`` fixture wait
+    # for its training run (about five minutes); ``-m "not slow"`` skips them.
+    for item in items:
+        if "bench" in getattr(item, "fixturenames", ()):
+            item.add_marker(pytest.mark.slow)
+
+
 @pytest.fixture
 def rng():
     return nm.Rng(1234)

@@ -228,6 +228,16 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "rtf:" in out and "seconds_per_utterance:" in out
 
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_sample_rejects_count_below_one(self, n, tmp_path, capsys):
+        # The count is checked before the checkpoint is opened, so a missing
+        # checkpoint file does not mask the error.
+        rc = main(["sample", "--checkpoint", str(tmp_path / "missing.bin"), "--tokens", "0 1",
+                   "-n", n, "--out", str(tmp_path / "s.tsv")])
+        assert rc == 2
+        assert f"-n must be at least 1, got {n}" in capsys.readouterr().err
+        assert not (tmp_path / "s.tsv").exists()
+
     def test_eval_rejects_mismatched_stats(self, tiny_corpus_file, tmp_path, capsys):
         args = ["train", "--corpus", tiny_corpus_file]
         for key, val in TINY:

@@ -1,5 +1,8 @@
 """Config parsing/validation and binary checkpoint round trips."""
 
+import errno
+import struct
+
 import numpy as np
 import pytest
 
@@ -171,6 +174,54 @@ class TestCheckpoint:
         path.write_bytes(data[: len(data) // 2])
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "g.bin"
+        save_checkpoint(_dummy_checkpoint(), path)
+        path.write_bytes(path.read_bytes() + b"garbage")
+        with pytest.raises(CheckpointError, match="7 trailing bytes"):
+            load_checkpoint(path)
+
+    def test_version_1_rejected_as_unfused_layout(self, tmp_path):
+        path = tmp_path / "v1.bin"
+        save_checkpoint(_dummy_checkpoint(), path)
+        data = path.read_bytes()
+        path.write_bytes(data[:4] + struct.pack("<I", 1) + data[8:])
+        with pytest.raises(CheckpointError, match="v1 predates the fused"):
+            load_checkpoint(path)
+
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        import prosody_ddpm.checkpoint as checkpoint
+
+        path = tmp_path / "keep.bin"
+        save_checkpoint(_dummy_checkpoint(), path)
+        before = path.read_bytes()
+
+        class DiskFull:
+            # Writes half of what it is given, then fails like a full disk.
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[: len(data) // 2])
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(checkpoint, "open", lambda *a, **k: DiskFull(open(*a, **k)),
+                            raising=False)
+        ck = _dummy_checkpoint()
+        ck.step = 8
+        with pytest.raises(OSError, match="No space"):
+            save_checkpoint(ck, path)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert load_checkpoint(path).step == 7
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["keep.bin"]
 
     def test_unknown_kind_rejected_on_save(self, tmp_path):
         ck = _dummy_checkpoint()

@@ -10,15 +10,17 @@ from prosody_ddpm.denoiser import (
     Denoiser,
     DenoiserConfig,
     count_parameters,
-    encode_condition,
     step_embedding,
 )
-from prosody_ddpm.data import TokenSequence
 from prosody_ddpm.diffusion import linear_schedule, training_loss_graph
 from prosody_ddpm.numerics import Rng, Tape, Tensor
 from prosody_ddpm.optim import Adam
 
 SMALL = DenoiserConfig(channels=8, layers=3, dilation_cycle=(1, 2), cond_dim=6, step_hidden=12)
+
+
+def run(den, x, cond, t):
+    return den.forward(x, den.condition(cond), den.steps(t))
 
 
 def small_models(seed=0, vocab=5):
@@ -34,14 +36,14 @@ class TestForward:
     def test_minimal_length(self, rng):
         den, enc = small_models()
         cond = enc.forward(np.array([2]))
-        out = den.forward(Tensor(rng.normal((1, 3))), cond, 4)
+        out = run(den, Tensor(rng.normal((1, 3))), cond, 4)
         assert out.shape == (1, 3)
 
     def test_output_matches_input_shape(self, rng):
         den, enc = small_models()
         for shape in [(7, 3), (2, 5, 3)]:
             ids = np.zeros(shape[:-1], dtype=np.int64)
-            out = den.forward(Tensor(rng.normal(shape)), enc.forward(ids), 9)
+            out = run(den, Tensor(rng.normal(shape)), enc.forward(ids), 9)
             assert out.shape == shape
 
     def test_step_embedding_is_live(self, rng):
@@ -50,8 +52,8 @@ class TestForward:
         den.params["out.w"] = Tensor(rng.normal((8, 3)) * 0.2)
         x = Tensor(rng.normal((4, 3)))
         cond = enc.forward(np.array([0, 1, 2, 3]))
-        a = den.forward(x, cond, 1).data
-        b = den.forward(x, cond, 37).data
+        a = run(den, x, cond, 1).data
+        b = run(den, x, cond, 37).data
         assert np.abs(a - b).max() > 1e-9
 
     def test_interior_translation_equivariance(self, rng):
@@ -69,24 +71,24 @@ class TestForward:
         x2 = np.zeros((n, 3))
         x1[5 : 5 + 20] = base
         x2[5 + k : 5 + k + 20] = base
-        y1 = den.forward(Tensor(x1), enc.forward(ids1), 11).data
-        y2 = den.forward(Tensor(x2), enc.forward(ids2), 11).data
+        y1 = run(den, Tensor(x1), enc.forward(ids1), 11).data
+        y2 = run(den, Tensor(x2), enc.forward(ids2), 11).data
         lo, hi = 5 + rf, 5 + 20 - rf
         np.testing.assert_allclose(y1[lo:hi], y2[lo + k : hi + k], atol=1e-10)
 
     def test_condition_shape_mismatch(self, rng):
         den, enc = small_models()
         with pytest.raises(nm.ShapeError, match="condition"):
-            den.forward(Tensor(rng.normal((4, 3))), enc.forward(np.array([0, 1])), 3)
+            run(den, Tensor(rng.normal((4, 3))), enc.forward(np.array([0, 1])), 3)
 
     def test_deterministic_forward(self, rng):
         den, enc = small_models()
         x = Tensor(rng.normal((6, 3)))
         cond = enc.forward(np.arange(5) % 5)
         with pytest.raises(nm.ShapeError):
-            den.forward(x, cond, 2)  # length mismatch 6 vs 5
+            run(den, x, cond, 2)  # length mismatch 6 vs 5
         cond = enc.forward(np.arange(6) % 5)
-        np.testing.assert_array_equal(den.forward(x, cond, 2).data, den.forward(x, cond, 2).data)
+        np.testing.assert_array_equal(run(den, x, cond, 2).data, run(den, x, cond, 2).data)
 
 
 class TestStepEmbedding:
@@ -106,10 +108,8 @@ class TestStepEmbedding:
 class TestConditionEncoder:
     def test_identical_tokens_identical_condition(self):
         _, enc = small_models()
-        tokens = TokenSequence((1, 3, 2, 2))
-        a = encode_condition(enc, tokens)
-        b = encode_condition(enc, tokens)
-        np.testing.assert_array_equal(a.vectors.data, b.vectors.data)
+        ids = np.array([1, 3, 2, 2])
+        np.testing.assert_array_equal(enc.forward(ids).data, enc.forward(ids).data)
 
     def test_cond_dim_default_matches_channels(self):
         assert ConditionEncoderConfig(vocab_size=10).cond_dim == 64
@@ -195,3 +195,124 @@ class TestGradientFlow:
             last = {k: np.abs(grads.wrt(p)).max() for k, p in merged.items()}
         dead = [k for k, v in last.items() if v == 0.0]
         assert not dead, f"dead parameter groups: {dead}"
+
+
+# -- unfused reference ------------------------------------------------------
+#
+# The denoiser as first written: separate filter/gate convs and condition
+# projections per layer, one skip 1x1 per layer, and the condition and step
+# projections recomputed on every call.  The fused model must compute the
+# same function from the same seed.
+
+
+def _reference_init(c: DenoiserConfig, rng: Rng) -> dict:
+    ch, k = c.channels, c.kernel_size
+    params = {
+        "in.w": nm.uniform_fanin(rng, (c.features, ch), c.features),
+        "in.b": nm.zeros(ch),
+        "step.fc1.w": nm.uniform_fanin(rng, (ch, c.step_hidden), ch),
+        "step.fc1.b": nm.zeros(c.step_hidden),
+        "step.fc2.w": nm.uniform_fanin(rng, (c.step_hidden, ch), c.step_hidden),
+        "step.fc2.b": nm.zeros(ch),
+    }
+    for i in range(c.layers):
+        pre = f"layer{i}"
+        params[f"{pre}.filter.w"] = nm.uniform_fanin(rng, (k, ch, ch), k * ch)
+        params[f"{pre}.filter.b"] = nm.zeros(ch)
+        params[f"{pre}.gate.w"] = nm.uniform_fanin(rng, (k, ch, ch), k * ch)
+        params[f"{pre}.gate.b"] = nm.zeros(ch)
+        params[f"{pre}.cond_f.w"] = nm.uniform_fanin(rng, (c.cond_dim, ch), c.cond_dim)
+        params[f"{pre}.cond_f.b"] = nm.zeros(ch)
+        params[f"{pre}.cond_g.w"] = nm.uniform_fanin(rng, (c.cond_dim, ch), c.cond_dim)
+        params[f"{pre}.cond_g.b"] = nm.zeros(ch)
+        if i < c.layers - 1:
+            params[f"{pre}.res.w"] = nm.uniform_fanin(rng, (ch, ch), ch)
+            params[f"{pre}.res.b"] = nm.zeros(ch)
+        params[f"{pre}.skip.w"] = nm.uniform_fanin(rng, (ch, ch), ch)
+        params[f"{pre}.skip.b"] = nm.zeros(ch)
+    params["post.w"] = nm.uniform_fanin(rng, (ch, ch), ch)
+    params["post.b"] = nm.zeros(ch)
+    params["out.w"] = nm.zeros((ch, c.features))
+    params["out.b"] = nm.zeros(c.features)
+    return params
+
+
+def _reference_forward(c: DenoiserConfig, p: dict, x_t, cond, t):
+    emb = step_embedding(t, c.channels)
+    if x_t.data.ndim == 2:
+        emb = emb[0]
+    e = nm.add(nm.matmul(Tensor(emb), p["step.fc1.w"]), p["step.fc1.b"])
+    e = nm.add(nm.matmul(nm.silu(e), p["step.fc2.w"]), p["step.fc2.b"])
+    h = nm.relu(nm.add(nm.matmul(x_t, p["in.w"]), p["in.b"]))
+    skip_sum = None
+    for i, dil in enumerate(c.dilations()):
+        pre = f"layer{i}"
+        inp = nm.add(h, e)
+        f = nm.conv1d_dilated(inp, p[f"{pre}.filter.w"], p[f"{pre}.filter.b"], dilation=dil)
+        f = nm.add(f, nm.add(nm.matmul(cond, p[f"{pre}.cond_f.w"]), p[f"{pre}.cond_f.b"]))
+        g = nm.conv1d_dilated(inp, p[f"{pre}.gate.w"], p[f"{pre}.gate.b"], dilation=dil)
+        g = nm.add(g, nm.add(nm.matmul(cond, p[f"{pre}.cond_g.w"]), p[f"{pre}.cond_g.b"]))
+        gated = nm.mul(nm.tanh(f), nm.sigmoid(g))
+        if i < c.layers - 1:
+            h = nm.add(h, nm.add(nm.matmul(gated, p[f"{pre}.res.w"]), p[f"{pre}.res.b"]))
+        s = nm.add(nm.matmul(gated, p[f"{pre}.skip.w"]), p[f"{pre}.skip.b"])
+        skip_sum = s if skip_sum is None else nm.add(skip_sum, s)
+    out = nm.relu(nm.add(nm.matmul(nm.relu(skip_sum), p["post.w"]), p["post.b"]))
+    return nm.add(nm.matmul(out, p["out.w"]), p["out.b"])
+
+
+def _fuse(c: DenoiserConfig, ref: dict) -> dict:
+    """Arrays of the unfused layout rearranged into the fused one."""
+    cat = np.concatenate
+    out = {k: ref[k] for k in ("in.w", "in.b", "step.fc1.w", "step.fc1.b", "step.fc2.w",
+                               "step.fc2.b")}
+    for i in range(c.layers):
+        pre = f"layer{i}"
+        out[f"{pre}.conv.w"] = cat([ref[f"{pre}.filter.w"], ref[f"{pre}.gate.w"]], axis=-1)
+        out[f"{pre}.conv.b"] = cat([ref[f"{pre}.filter.b"], ref[f"{pre}.gate.b"]])
+        out[f"{pre}.cond.w"] = cat([ref[f"{pre}.cond_f.w"], ref[f"{pre}.cond_g.w"]], axis=-1)
+        out[f"{pre}.cond.b"] = cat([ref[f"{pre}.cond_f.b"], ref[f"{pre}.cond_g.b"]])
+        if i < c.layers - 1:
+            out[f"{pre}.res.w"] = ref[f"{pre}.res.w"]
+            out[f"{pre}.res.b"] = ref[f"{pre}.res.b"]
+    out["skip.w"] = cat([ref[f"layer{i}.skip.w"] for i in range(c.layers)], axis=0)
+    out["skip.b"] = np.stack([ref[f"layer{i}.skip.b"] for i in range(c.layers)])
+    for k in ("post.w", "post.b", "out.w", "out.b"):
+        out[k] = ref[k]
+    return out
+
+
+def test_matches_unfused_reference(rng):
+    # Dilation 4 reaches past a 3-token input, so skipped taps are covered.
+    cfg = DenoiserConfig(channels=8, layers=3, dilation_cycle=(1, 2, 4), cond_dim=6, step_hidden=12)
+    ref = _reference_init(cfg, Rng(5))
+    den = Denoiser.init(cfg, Rng(5))
+    fused_init = _fuse(cfg, {k: v.data for k, v in ref.items()})
+    assert list(den.params) == list(fused_init)
+    for k, v in fused_init.items():
+        np.testing.assert_array_equal(den.params[k].data, v, err_msg=k)
+
+    # Nonzero biases and head, so every parameter carries gradient.
+    ref = {k: Tensor(v.data + rng.normal(v.shape) * 0.1) for k, v in ref.items()}
+    den.params = {k: Tensor(v) for k, v in _fuse(cfg, {k: v.data for k, v in ref.items()}).items()}
+    for shape, t in [((6, 3), 1), ((6, 3), 17), ((2, 3, 3), np.array([4, 250])),
+                     ((3, 5, 3), np.array([1, 60, 999]))]:
+        x = Tensor(rng.normal(shape))
+        cond = Tensor(rng.normal(shape[:-1] + (6,)))
+        weights = Tensor(rng.normal(shape))
+        with Tape() as tape:
+            want = _reference_forward(cfg, ref, x, cond, t)
+            loss = nm.sum(nm.mul(want, weights))
+        want_grads = nm.backward(tape, loss)
+        with Tape() as tape:
+            got = run(den, x, cond, t)
+            loss = nm.sum(nm.mul(got, weights))
+        got_grads = nm.backward(tape, loss)
+        np.testing.assert_allclose(got.data, want.data, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got_grads.wrt(x), want_grads.wrt(x), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got_grads.wrt(cond), want_grads.wrt(cond), rtol=0, atol=1e-12)
+        want_fused = _fuse(cfg, {k: want_grads.wrt(v) for k, v in ref.items()})
+        for k, p in den.params.items():
+            np.testing.assert_allclose(
+                got_grads.wrt(p), want_fused[k], rtol=0, atol=1e-12, err_msg=f"{shape} {k}"
+            )

@@ -6,16 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import prosody_ddpm.numerics as nm
-from prosody_ddpm.data import NormStats, TokenSequence
-from prosody_ddpm.denoiser import ConditionSequence, Denoiser, DenoiserConfig
+from prosody_ddpm.data import NormStats, denormalize
+from prosody_ddpm.denoiser import Denoiser, DenoiserConfig
 from prosody_ddpm.diffusion import (
-    DiffusionStepSample,
-    diffuse_sample,
     forward_diffuse,
     linear_schedule,
     posterior_mean,
     reverse_step,
-    sample,
     sample_model_space,
     training_loss,
     training_loss_graph,
@@ -27,14 +24,24 @@ from conftest import fd_check
 
 
 class StubModel:
-    """Denoiser stand-in returning a fixed function of its inputs."""
+    """Denoiser stand-in returning a fixed function of ``(x_t, cond, t)``.
+
+    Its condition constants are the condition itself and its step
+    features are the step numbers, so ``forward`` can hand ``t`` back.
+    """
 
     def __init__(self, fn):
         self.fn = fn
         self.params = {"unused": Tensor(np.zeros(3))}
 
-    def forward(self, x_t, cond, t):
-        return self.fn(x_t, cond, t)
+    def condition(self, cond):
+        return cond
+
+    def steps(self, t):
+        return Tensor(np.asarray(t, dtype=np.float64))
+
+    def forward(self, x_t, cond, e):
+        return self.fn(x_t, cond, int(e.item()))
 
 
 class TestSchedule:
@@ -134,14 +141,10 @@ class TestForwardDiffuse:
         for i, ti in enumerate(t):
             np.testing.assert_allclose(out[i], forward_diffuse(x0[i], int(ti), eps[i], s))
 
-    def test_diffuse_sample_bundle(self, rng):
+    def test_noise_shape_mismatch_rejected(self):
         s = linear_schedule(50, 1e-3, 0.2)
-        x0 = rng.normal((4, 3))
-        bundle = diffuse_sample(x0, 20, rng, s)
-        assert bundle.t == 20
-        np.testing.assert_allclose(bundle.x_t, forward_diffuse(x0, 20, bundle.eps, s))
         with pytest.raises(ValueError, match="shape"):
-            DiffusionStepSample(t=1, x_t=np.zeros((2, 3)), eps=np.zeros((3, 3)))
+            forward_diffuse(np.zeros((2, 3)), 1, np.zeros((3, 3)), s)
 
 
 class TestPosteriorMean:
@@ -173,8 +176,9 @@ class TestReverseStep:
         model = StubModel(lambda x, c, t: Tensor(x.data * 0.1))
         x = rng.normal((4, 3))
         cond = Tensor(np.zeros((4, 2)))
-        a = reverse_step(model, x, cond, 1, rng.normal((4, 3)) * 100, s)
-        b = reverse_step(model, x, cond, 1, None, s)
+        e = model.steps(1)
+        a = reverse_step(model, x, cond, e, 1, rng.normal((4, 3)) * 100, s)
+        b = reverse_step(model, x, cond, e, 1, None, s)
         np.testing.assert_array_equal(a, b)
 
     def test_bit_identical_for_fixed_inputs(self, rng):
@@ -183,8 +187,8 @@ class TestReverseStep:
         x = rng.normal((4, 3))
         z = rng.normal((4, 3))
         cond = Tensor(np.zeros((4, 2)))
-        a = reverse_step(model, x, cond, 9, z, s)
-        b = reverse_step(model, x, cond, 9, z, s)
+        a = reverse_step(model, x, cond, model.steps(9), 9, z, s)
+        b = reverse_step(model, x, cond, model.steps(9), 9, z, s)
         np.testing.assert_array_equal(a, b)
 
     def test_stochastic_term_variance(self, rng):
@@ -195,7 +199,8 @@ class TestReverseStep:
         cond = Tensor(np.zeros((1, 2)))
         t = 15
         draws = np.array(
-            [reverse_step(model, x, cond, t, rng.normal((1, 3)), s)[0, 0] for _ in range(4000)]
+            [reverse_step(model, x, cond, model.steps(t), t, rng.normal((1, 3)), s)[0, 0]
+             for _ in range(4000)]
         )
         assert draws.std() == pytest.approx(s.sigma[t], rel=0.08)
 
@@ -305,12 +310,11 @@ class TestSampling:
         cfg = DenoiserConfig(channels=8, layers=2, dilation_cycle=(1, 2), cond_dim=4, step_hidden=8)
         den = Denoiser.init(cfg, rng)
         sched = linear_schedule(25, 1e-3, 0.2)
-        tokens = TokenSequence((0, 1, 2))
-        cond = ConditionSequence(tokens, Tensor(rng.normal((3, 4))))
+        cond = Tensor(rng.normal((3, 4)))
         stats = NormStats(np.array([200.0, 1.0, 2.0]), np.array([50.0, 0.3, 0.5]))
-        a = sample(den, cond, sched, Rng(1), stats)
-        b = sample(den, cond, sched, Rng(1), stats)
-        c = sample(den, cond, sched, Rng(2), stats)
+        a, b, c = (
+            denormalize(sample_model_space(den, cond, sched, Rng(seed)), stats) for seed in (1, 1, 2)
+        )
         np.testing.assert_array_equal(a.pitch, b.pitch)
         np.testing.assert_array_equal(a.energy, b.energy)
         np.testing.assert_array_equal(a.duration, b.duration)
@@ -320,10 +324,9 @@ class TestSampling:
         cfg = DenoiserConfig(channels=8, layers=2, dilation_cycle=(1, 2), cond_dim=4, step_hidden=8)
         den = Denoiser.init(cfg, rng)
         sched = linear_schedule(25, 1e-3, 0.2)
-        tokens = TokenSequence((0, 1, 2, 3))
-        cond = ConditionSequence(tokens, Tensor(rng.normal((4, 4))))
+        cond = Tensor(rng.normal((4, 4)))
         stats = NormStats(np.array([200.0, 1.0, 2.0]), np.array([50.0, 0.3, 0.5]))
-        ps = sample(den, cond, sched, Rng(9), stats)
+        ps = denormalize(sample_model_space(den, cond, sched, Rng(9)), stats)
         assert np.all(ps.pitch > 0)
         assert np.all(ps.energy >= 0)
         assert np.all(ps.duration >= 1)

@@ -40,17 +40,23 @@ class TestForwardValues:
 
     def test_conv_matches_direct_convolution(self, rng):
         # Independent oracle: explicit loop over taps with zero padding.
-        x = rng.normal((9, 3))
-        w = rng.normal((3, 3, 4))
-        d = 2
-        out = nm.conv1d_dilated(Tensor(x), Tensor(w), dilation=d).data
-        expect = np.zeros((9, 4))
-        for pos in range(9):
-            for k in range(3):
-                src = pos + (k - 1) * d
-                if 0 <= src < 9:
-                    expect[pos] += x[src] @ w[k]
-        np.testing.assert_allclose(out, expect, atol=1e-12)
+        # The last three cases have dilation >= length, where every
+        # off-centre tap sees only padding.
+        cases = [((9, 3), 3, 2), ((9, 3), 5, 3), ((2, 7, 3), 5, 2), ((4, 3), 3, 4), ((4, 3), 3, 6),
+                 ((4, 3), 5, 9)]
+        for shape, kernel, dilation in cases:
+            x = rng.normal(shape)
+            w = rng.normal((kernel, 3, 4))
+            b = rng.normal(4)
+            out = nm.conv1d_dilated(Tensor(x), Tensor(w), Tensor(b), dilation=dilation).data
+            length = shape[-2]
+            expect = np.zeros(shape[:-1] + (4,)) + b
+            for pos in range(length):
+                for k in range(kernel):
+                    src = pos + (k - kernel // 2) * dilation
+                    if 0 <= src < length:
+                        expect[..., pos, :] += x[..., src, :] @ w[k]
+            np.testing.assert_allclose(out, expect, atol=1e-12)
 
     def test_conv_shift_equivariance(self, rng):
         # Non-causal: shifting the input right by k shifts the output right
@@ -146,7 +152,7 @@ class TestBackward:
     @pytest.mark.parametrize(
         "name",
         ["add", "sub", "mul", "tanh", "sigmoid", "relu", "matmul", "conv", "conv_dil",
-         "layer_norm", "embed", "dropout", "sum", "mean"],
+         "layer_norm", "embed", "dropout", "sum", "mean", "gated_tanh", "concat", "matmul_bias"],
     )
     def test_every_primitive_finite_differences(self, name, rng):
         x = Tensor(rng.normal((4, 6)) + 0.3)  # offset keeps relu off its kink
@@ -190,6 +196,22 @@ class TestBackward:
             ),
             "sum": ({"a": x}, lambda p: nm.sum(nm.mul(p["a"], p["a"]))),
             "mean": ({"a": x}, lambda p: nm.mean(nm.mul(p["a"], 2.5))),
+            "gated_tanh": (
+                {"a": x},
+                lambda p: nm.mean(nm.mul(nm.gated_tanh(p["a"]), nm.gated_tanh(p["a"]))),
+            ),
+            # Distinct weights per column tell the joined slices apart.
+            "concat": (
+                {"a": x, "b": Tensor(rng.normal((4, 2)))},
+                lambda p, wc=Tensor(rng.normal((4, 8))): nm.mean(
+                    nm.mul(nm.concat([p["a"], p["b"]]), wc)
+                ),
+            ),
+            "matmul_bias": (
+                {"a": x, "w": Tensor(rng.normal((6, 3))), "b": Tensor(rng.normal(3))},
+                lambda p: nm.mean(nm.mul(nm.matmul(p["a"], p["w"], p["b"]),
+                                         nm.matmul(p["a"], p["w"], p["b"]))),
+            ),
         }
         tensors, fn = builders[name]
         fd_check(fn, tensors)
