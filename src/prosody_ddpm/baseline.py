@@ -63,11 +63,14 @@ class BaselineNet:
         h = nm.dropout(h, rate, rng, training)
         return nm.add(nm.matmul(h, p[f"{head}.out.w"]), p[f"{head}.out.b"])
 
+    def forward(self, cond: Tensor, rng: Rng | None, training: bool) -> Tensor:
+        """Predictions ``(..., length, 3)``, one column per head in ``HEADS`` order."""
+        return nm.concat([self.head_forward(h, cond, rng, training) for h in HEADS])
+
 
 def baseline_predict(model: BaselineNet, cond: Tensor) -> np.ndarray:
     """Single deterministic prediction ``(..., length, 3)``; dropout off."""
-    outs = [model.head_forward(h, cond, None, training=False).data for h in HEADS]
-    return np.concatenate(outs, axis=-1)
+    return model.forward(cond, None, training=False).data
 
 
 def baseline_loss_graph(
@@ -79,31 +82,7 @@ def baseline_loss_graph(
     training: bool = True,
 ) -> Tensor:
     """Mean squared error over unmasked elements, recorded on the active tape."""
-    target = np.asarray(target, dtype=np.float64)
-    if cond.shape[:-1] != target.shape[:-1] or target.shape[-1] != len(HEADS):
-        raise nm.ShapeError(
-            "baseline_loss", f"target {target.shape} does not match condition {cond.shape}"
-        )
-    if mask is not None:
-        mask = np.asarray(mask, dtype=np.float64)
-        if mask.shape != target.shape[:-1]:
-            raise nm.ShapeError("baseline_loss", f"mask {mask.shape} does not match target")
-        count = float(mask.sum())
-        if count == 0:
-            raise ValueError("baseline_loss: mask excludes every position")
-        m1 = Tensor(mask[..., None])
-    else:
-        count = float(np.prod(target.shape[:-1]))
-    total = None
-    for d, head in enumerate(HEADS):
-        pred = model.head_forward(head, cond, rng, training)
-        diff = nm.sub(pred, Tensor(target[..., d : d + 1]))
-        sq = nm.mul(diff, diff)
-        if mask is not None:
-            sq = nm.mul(sq, m1)
-        part = nm.sum(sq)
-        total = part if total is None else nm.add(total, part)
-    return nm.mul(total, 1.0 / (count * len(HEADS)))
+    return nm.masked_mse(model.forward(cond, rng, training), target, mask, "baseline_loss")
 
 
 def baseline_train_step(

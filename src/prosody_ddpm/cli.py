@@ -143,12 +143,7 @@ def cmd_sample(args, extra: list[str]) -> int:
     if bad:
         raise ConfigError(f"unknown token id {bad[0]} for vocabulary of size {vocab}")
     tokens = TokenSequence(ids)
-    predictor = predictor_from_checkpoint(ck)
-    rng = Rng(args.seed)
-    if predictor.stochastic:
-        sequences = predictor.fn_many(tokens, rng, args.n)
-    else:
-        sequences = [predictor.fn(tokens, None) for _ in range(args.n)]
+    sequences = predictor_from_checkpoint(ck).fn(tokens, Rng(args.seed), args.n)
     utterances = [
         Utterance(utt_id=f"sample{i:05d}", tokens=tokens, prosody=ps)
         for i, ps in enumerate(sequences)
@@ -221,7 +216,8 @@ def cmd_rtf(args, extra: list[str]) -> int:
         load_corpus(args.corpus), ck.config.data.split_seed, ck.config.data.holdout_fraction
     )
     predictor = predictor_from_checkpoint(ck)
-    result = measure_rtf(predictor, corpus, args.frame_rate, seed=ck.config.eval.seed)
+    frame_rate = ck.config.eval.frame_rate if args.frame_rate is None else args.frame_rate
+    result = measure_rtf(predictor, corpus, frame_rate, seed=ck.config.eval.seed)
     print(f"model: {ck.kind}")
     print(f"rtf: {result.rtf:.6f}")
     print(f"seconds_per_utterance: {result.seconds_per_utterance:.6f}")
@@ -272,7 +268,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rtf", help="measure the real-time factor of a checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--frame-rate", type=float, default=80.0)
+    p.add_argument(
+        "--frame-rate", type=float, default=None, help="default: the checkpoint's eval.frame_rate"
+    )
     p.set_defaults(fn=cmd_rtf)
     return parser
 

@@ -172,21 +172,33 @@ def validate(config: Config) -> None:
     d = config.denoiser
     if d.channels < 2 or d.channels % 2 != 0:
         raise ConfigError("denoiser.channels must be even and >= 2")
-    if d.layers < 1:
-        raise ConfigError("denoiser.layers must be >= 1")
-    if d.kernel_size % 2 != 1:
-        raise ConfigError("denoiser.kernel_size must be odd")
+    c, b, o = config.condition, config.baseline, config.optimizer
+    sizes = {
+        "denoiser.layers": d.layers,
+        "denoiser.cond_dim": d.cond_dim,
+        "denoiser.step_hidden": d.step_hidden,
+        "condition.embed_dim": c.embed_dim,
+        "condition.hidden": c.hidden,
+        "baseline.width": b.width,
+        "optimizer.batch_size": o.batch_size,
+        "data.vocab_size": config.data.vocab_size,
+    }
+    for name, size in sizes.items():
+        if size < 1:
+            raise ConfigError(f"{name} must be >= 1")
+    kernels = {"denoiser.kernel_size": d.kernel_size, "baseline.kernel_size": b.kernel_size}
+    for name, k in kernels.items():
+        if k < 1 or k % 2 != 1:
+            raise ConfigError(f"{name} must be odd and >= 1")
     if not d.dilation_cycle or any(v < 1 for v in d.dilation_cycle):
         raise ConfigError("denoiser.dilation_cycle entries must be >= 1")
-    if config.baseline.kernel_size % 2 != 1:
-        raise ConfigError("baseline.kernel_size must be odd")
-    if not 0.0 <= config.baseline.dropout < 1.0:
+    if not 0.0 <= b.dropout < 1.0:
         raise ConfigError("baseline.dropout must be in [0, 1)")
-    o = config.optimizer
-    if o.lr <= 0.0 or o.batch_size < 1:
-        raise ConfigError("optimizer.lr must be > 0 and batch_size >= 1")
-    if config.data.vocab_size < 1:
-        raise ConfigError("data.vocab_size must be >= 1")
+    if not (o.lr > 0.0 and o.eps > 0.0):
+        raise ConfigError("optimizer.lr and optimizer.eps must be > 0")
+    for name, beta in (("beta1", o.beta1), ("beta2", o.beta2)):
+        if not 0.0 <= beta < 1.0:
+            raise ConfigError(f"optimizer.{name} must be in [0, 1)")
     if not 0.0 < config.data.holdout_fraction < 1.0:
         raise ConfigError("data.holdout_fraction must be in (0, 1)")
     t = config.train

@@ -190,11 +190,16 @@ def denormalize(x: np.ndarray, stats: NormStats) -> ProsodySequence:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != 3:
         raise ValueError(f"expected (length, 3) features, got {x.shape}")
-    raw = x * stats.std + stats.mean
-    pitch = np.maximum(raw[:, 0], PITCH_FLOOR_HZ)
-    energy = np.maximum(raw[:, 1], 0.0)
-    duration = np.maximum(1, np.floor(np.exp(raw[:, 2]) + 0.5).astype(np.int64))
-    return ProsodySequence(pitch=pitch, energy=energy, duration=duration)
+    return _physical(x * stats.std + stats.mean)
+
+
+def _physical(raw: np.ndarray) -> ProsodySequence:
+    """Raw (length, 3) pitch, energy, log-duration rows clamped to physical units."""
+    return ProsodySequence(
+        pitch=np.maximum(raw[:, 0], PITCH_FLOOR_HZ),
+        energy=np.maximum(raw[:, 1], 0.0),
+        duration=np.maximum(1, np.floor(np.exp(raw[:, 2]) + 0.5).astype(np.int64)),
+    )
 
 
 # --------------------------------------------------------------------------
@@ -473,14 +478,11 @@ def generate_corpus(
             if spec.mean_offset_right is not None and right is not None:
                 x = x + spec.mean_offset_right[right]
             feats[pos] = x
-        pitch = np.maximum(feats[:, 0], PITCH_FLOOR_HZ)
-        energy = np.maximum(feats[:, 1], 0.0)
-        duration = np.maximum(1, np.floor(np.exp(feats[:, 2]) + 0.5).astype(np.int64))
         utterances.append(
             Utterance(
                 utt_id=f"utt{ui:05d}",
                 tokens=TokenSequence(tuple(int(i) for i in ids)),
-                prosody=ProsodySequence(pitch=pitch, energy=energy, duration=duration),
+                prosody=_physical(feats),
             )
         )
     return Corpus(utterances)

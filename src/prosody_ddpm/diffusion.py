@@ -124,25 +124,15 @@ def training_loss_graph(
             "training_loss", f"condition token axes {cond.shape} do not match x0 {x0.shape}"
         )
     x_t = forward_diffuse(x0, t, eps, sched)
-    target = eps
     if mask is not None:
         mask = np.asarray(mask, dtype=np.float64)
         if mask.shape != x0.shape[:-1]:
             raise nm.ShapeError(
                 "training_loss", f"mask shape {mask.shape} does not match x0 {x0.shape}"
             )
-        m3 = mask[..., None]
-        x_t = x_t * m3
-        target = eps * m3
+        x_t = x_t * mask[..., None]
     eps_hat = model.forward(Tensor(x_t), model.condition(cond), model.steps(t))
-    diff = nm.sub(eps_hat, Tensor(target))
-    sq = nm.mul(diff, diff)
-    if mask is None:
-        return nm.mean(sq)
-    count = float(mask.sum()) * x0.shape[-1]
-    if count == 0:
-        raise ValueError("training_loss: mask excludes every position")
-    return nm.mul(nm.sum(nm.mul(sq, Tensor(m3))), 1.0 / count)
+    return nm.masked_mse(eps_hat, eps, mask, "training_loss")
 
 
 def training_loss(

@@ -86,26 +86,6 @@ def js_divergence(p, q) -> float:
     return max(0.5 * (kl_to_m(p) + kl_to_m(q)), 0.0)
 
 
-@dataclass(frozen=True)
-class HistogramPair:
-    """Prediction histogram ``p`` against ground-truth histogram ``q`` on a
-    shared support (a token class, or ``None`` when pooled)."""
-
-    p: np.ndarray
-    q: np.ndarray
-    support: int | None = None
-
-    def __post_init__(self):
-        if self.p.shape != self.q.shape:
-            raise ValueError(f"histogram bin counts differ: {self.p.shape} vs {self.q.shape}")
-        for name, vec in (("p", self.p), ("q", self.q)):
-            if abs(vec.sum() - 1.0) > 1e-9:
-                raise ValueError(f"histogram {name} does not sum to 1")
-
-    def divergence(self) -> float:
-        return js_divergence(self.p, self.q)
-
-
 def mode_coverage(samples, modes: list[tuple[float, float]]) -> np.ndarray:
     """Fraction of samples within each mode's radius, plus the out-of-mode rest.
 
@@ -139,17 +119,15 @@ def mode_coverage(samples, modes: list[tuple[float, float]]) -> np.ndarray:
 class Predictor:
     """A trained system under evaluation.
 
-    ``fn`` maps (tokens, rng) to one prosody sequence; stochastic
-    predictors are sampled ``n_samples`` times per utterance with a
-    per-utterance seeded stream, deterministic ones exactly once.
-    ``fn_many``, when present, draws several sequences in one call and is
-    preferred for stochastic predictors.
+    ``fn(tokens, rng, n)`` draws ``n`` prosody sequences for one
+    utterance.  Stochastic predictors get ``n_samples`` draws per
+    utterance from a per-utterance seeded stream; deterministic ones are
+    called once per utterance with ``rng=None`` and ``n=1``.
     """
 
     name: str
     stochastic: bool
-    fn: Callable[[TokenSequence, Rng | None], ProsodySequence]
-    fn_many: Callable[[TokenSequence, Rng, int], list[ProsodySequence]] | None = None
+    fn: Callable[[TokenSequence, Rng | None, int], list[ProsodySequence]]
 
 
 @dataclass
@@ -250,12 +228,8 @@ def evaluate_predictor(
     outputs: list[tuple[TokenSequence, ProsodySequence]] = []
     for ui, utt in enumerate(test):
         rng = Rng((seed, ui)) if predictor.stochastic else None
-        if predictor.stochastic and predictor.fn_many is not None:
-            for ps in predictor.fn_many(utt.tokens, rng, draws):
-                outputs.append((utt.tokens, ps))
-        else:
-            for _ in range(draws):
-                outputs.append((utt.tokens, predictor.fn(utt.tokens, rng)))
+        for ps in predictor.fn(utt.tokens, rng, draws):
+            outputs.append((utt.tokens, ps))
     pooled, per_class, n_tokens = _collect_values(outputs)
 
     pooled_js = {}
@@ -264,7 +238,7 @@ def evaluate_predictor(
     for dim in DIM_NAMES:
         hist = quantize(pooled[dim], binnings[dim])
         pooled_hist[dim] = hist
-        pooled_js[dim] = HistogramPair(hist, gt_hist_cache[dim]).divergence()
+        pooled_js[dim] = js_divergence(hist, gt_hist_cache[dim])
 
     per_class_js: dict[int, dict[str, float]] = {}
     for cls in gt.all_classes:
@@ -274,11 +248,10 @@ def evaluate_predictor(
                 warnings.append(msg)
             continue
         per_class_js[cls] = {
-            dim: HistogramPair(
+            dim: js_divergence(
                 quantize(per_class[cls][dim], binnings[dim]),
                 quantize(gt.test_per_class[cls][dim], binnings[dim]),
-                support=cls,
-            ).divergence()
+            )
             for dim in DIM_NAMES
         }
     per_class_mean = {
@@ -467,7 +440,7 @@ def measure_rtf(
             continue
         rng = Rng((seed, ui)) if predictor.stochastic else None
         t0 = time.perf_counter()
-        predictor.fn(utt.tokens, rng)
+        predictor.fn(utt.tokens, rng, 1)
         dt = time.perf_counter() - t0
         audio = frames / frame_rate
         rtfs.append(dt / audio)

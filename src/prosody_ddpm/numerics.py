@@ -4,9 +4,10 @@ Everything the networks in this package need runs through the small
 primitive set defined here: elementwise arithmetic, matmul with an
 optional bias, concatenation, a non-causal dilated 1-d convolution, the
 usual activations and the WaveNet gate, layer normalization, dropout,
-embedding lookup, and full reductions.  Each primitive computes
-its forward value with numpy and, when a :class:`Tape` is active on the
-current thread, records enough state to play the step backwards.
+embedding lookup, full reductions, and the masked mean-squared error
+built from them.  Each primitive computes its forward value with numpy
+and, when a :class:`Tape` is active on the current thread, records
+enough state to play the step backwards.
 
 Conventions:
 
@@ -84,11 +85,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape})"
-
-
-def tensor(data) -> Tensor:
-    """Wrap ``data`` (array-like) as a constant/leaf tensor."""
-    return Tensor(data)
 
 
 def zeros(shape: Sequence[int] | int) -> Tensor:
@@ -341,7 +337,10 @@ def concat(xs: Sequence[Tensor]) -> Tensor:
     ends = np.cumsum([x.shape[-1] for x in xs])
 
     def back(dout):
-        return [(x, dout[..., end - x.shape[-1] : end]) for x, end in zip(xs, ends)]
+        # Copies, not strided views: BLAS may round a reduction over a
+        # strided operand differently, so the gradients of each input
+        # match those it would get had it not been joined.
+        return [(x, dout[..., end - x.shape[-1] : end].copy()) for x, end in zip(xs, ends)]
 
     return _emit("concat", out, back)
 
@@ -505,6 +504,28 @@ def mean(x: Tensor) -> Tensor:
         return [(x, np.broadcast_to(dout / n, x.shape).copy())]
 
     return _emit("mean", out, back)
+
+
+def masked_mse(pred: Tensor, target, mask, op: str) -> Tensor:
+    """Mean of ``(pred - target) ** 2`` over the positions ``mask`` keeps.
+
+    ``mask`` (1 keeps, 0 drops) covers every axis of ``target`` but the
+    last, feature axis; ``None`` keeps everything.  Errors name ``op``.
+    """
+    target = np.asarray(target, dtype=np.float64)
+    if pred.shape != target.shape:
+        raise ShapeError(op, f"prediction {pred.shape} does not match target {target.shape}")
+    diff = sub(pred, Tensor(target))
+    sq = mul(diff, diff)
+    if mask is None:
+        return mean(sq)
+    mask = np.asarray(mask, dtype=np.float64)
+    if mask.shape != target.shape[:-1]:
+        raise ShapeError(op, f"mask {mask.shape} does not match target {target.shape}")
+    count = float(mask.sum()) * target.shape[-1]
+    if count == 0:
+        raise ValueError(f"{op}: mask excludes every position")
+    return mul(sum(mul(sq, Tensor(mask[..., None]))), 1.0 / count)
 
 
 # --------------------------------------------------------------------------

@@ -54,18 +54,6 @@ class Adam:
             out[name] = Tensor(p.data - update, _checked_op=None)
         return out
 
-    def state_arrays(self, param_names: list[str]) -> list[tuple[str, np.ndarray, np.ndarray]]:
-        """Moment buffers in a fixed name order (zeros if never stepped)."""
-        rows = []
-        for name in param_names:
-            m = self.m.get(name)
-            v = self.v.get(name)
-            if m is None:
-                m = np.zeros(0)
-                v = np.zeros(0)
-            rows.append((name, m, v))
-        return rows
-
     def load_state(self, t: int, rows: list[tuple[str, np.ndarray, np.ndarray]]) -> None:
         self.t = t
         for name, m, v in rows:

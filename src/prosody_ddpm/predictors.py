@@ -20,7 +20,7 @@ def ddpm_predictor(
     stats: NormStats,
     name: str = "ddpm",
 ) -> Predictor:
-    def many(tokens: TokenSequence, rng: Rng, n: int) -> list[ProsodySequence]:
+    def draw(tokens: TokenSequence, rng: Rng, n: int) -> list[ProsodySequence]:
         # Run the n chains for one utterance in lockstep; same length, so
         # they batch cleanly.
         vec = model.cond.forward(tokens.as_array()).data
@@ -28,18 +28,15 @@ def ddpm_predictor(
         x0 = diffusion.sample_model_space(model.net, tiled, sched, rng)
         return [denormalize(x0[i], stats) for i in range(n)]
 
-    def one(tokens: TokenSequence, rng: Rng) -> ProsodySequence:
-        return many(tokens, rng, 1)[0]
-
-    return Predictor(name=name, stochastic=True, fn=one, fn_many=many)
+    return Predictor(name=name, stochastic=True, fn=draw)
 
 
 def baseline_predictor(model: TrainableModel, stats: NormStats, name: str = "baseline") -> Predictor:
-    def one(tokens: TokenSequence, rng: Rng | None) -> ProsodySequence:
+    def draw(tokens: TokenSequence, rng: Rng | None, n: int) -> list[ProsodySequence]:
         vec = model.cond.forward(tokens.as_array())
-        return denormalize(baseline_predict(model.net, vec), stats)
+        return [denormalize(baseline_predict(model.net, vec), stats)] * n
 
-    return Predictor(name=name, stochastic=False, fn=one)
+    return Predictor(name=name, stochastic=False, fn=draw)
 
 
 def predictor_from_checkpoint(ck: Checkpoint, name: str | None = None) -> Predictor:

@@ -166,7 +166,8 @@ class TestCommands:
             args += [f"--{key}", val]
         rc = main(args + ["--model", "ddpm", "--out", str(run_d), "--train.steps", "12"])
         assert rc == 0
-        rc = main(args + ["--model", "baseline", "--out", str(run_b), "--train.steps", "12"])
+        rc = main(args + ["--model", "baseline", "--out", str(run_b), "--train.steps", "12",
+                          "--eval.frame_rate", "40"])
         assert rc == 0
         capsys.readouterr()
 
@@ -223,10 +224,17 @@ class TestCommands:
         assert (ev1 / "hist_pitch.tsv").exists()
         capsys.readouterr()
 
-        # rtf prints figures
-        assert main(["rtf", "--checkpoint", ck_b, "--corpus", tiny_corpus_file]) == 0
-        out = capsys.readouterr().out
-        assert "rtf:" in out and "seconds_per_utterance:" in out
+        # rtf prints figures; the frame rate defaults to the checkpoint's
+        # eval.frame_rate (40 here) and an explicit flag overrides it
+        def audio_seconds(*flags):
+            assert main(["rtf", "--checkpoint", ck_b, "--corpus", tiny_corpus_file, *flags]) == 0
+            out = capsys.readouterr().out
+            assert "rtf:" in out and "seconds_per_utterance:" in out
+            return float(out.split("audio_seconds_per_utterance:")[1].split()[0])
+
+        at_40 = audio_seconds()
+        assert at_40 == pytest.approx(2.0 * audio_seconds("--frame-rate", "80"), abs=2e-6)
+        assert at_40 == pytest.approx(audio_seconds("--frame-rate", "40"), abs=0.0)
 
     @pytest.mark.parametrize("n", ["0", "-1"])
     def test_sample_rejects_count_below_one(self, n, tmp_path, capsys):
@@ -254,6 +262,12 @@ class TestCommands:
                    "--corpus", tiny_corpus_file, "--out", str(tmp_path / "ev")])
         assert rc == 2
         assert "normalization statistics" in capsys.readouterr().err
+
+    def test_invalid_adam_beta_rejected(self, tiny_corpus_file, tmp_path, capsys):
+        rc = main(["train", "--model", "ddpm", "--corpus", tiny_corpus_file,
+                   "--out", str(tmp_path / "r"), "--optimizer.beta1", "1.0"])
+        assert rc == 2
+        assert "beta1" in capsys.readouterr().err
 
     def test_unknown_override_rejected(self, tiny_corpus_file, tmp_path, capsys):
         rc = main(["train", "--model", "ddpm", "--corpus", tiny_corpus_file,

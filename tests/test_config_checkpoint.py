@@ -77,8 +77,21 @@ class TestConfig:
             "[schedule]\nbeta_start = 0.5\nbeta_end = 0.1\n",
             "[denoiser]\nchannels = 63\n",
             "[denoiser]\nkernel_size = 4\n",
+            "[denoiser]\nkernel_size = -1\n",
+            "[denoiser]\ncond_dim = 0\n",
+            "[denoiser]\nstep_hidden = -2\n",
+            "[condition]\nembed_dim = 0\n",
+            "[condition]\nhidden = 0\n",
+            "[baseline]\nwidth = 0\n",
+            "[baseline]\nkernel_size = -1\n",
+            "[baseline]\nkernel_size = 2\n",
             "[baseline]\ndropout = 1.0\n",
             "[optimizer]\nlr = 0\n",
+            "[optimizer]\nbeta1 = 1.0\n",
+            "[optimizer]\nbeta1 = -0.1\n",
+            "[optimizer]\nbeta2 = 1.5\n",
+            "[optimizer]\neps = 0\n",
+            "[optimizer]\nbatch_size = 0\n",
             "[data]\nholdout_fraction = 0\n",
             "[eval]\nbins = 1\n",
         ):

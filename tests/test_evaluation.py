@@ -15,7 +15,6 @@ from prosody_ddpm.data import (
 from prosody_ddpm.evaluation import (
     LN2,
     BinningSpec,
-    HistogramPair,
     Predictor,
     binning_from_values,
     build_report,
@@ -116,14 +115,6 @@ class TestJsDivergence:
         perm = r.permutation(32)
         assert js_divergence(p, q) == pytest.approx(js_divergence(p[perm], q[perm]), abs=1e-14)
 
-    def test_histogram_pair_invariants(self):
-        pair = HistogramPair(np.array([0.5, 0.5]), np.array([1.0, 0.0]), support=3)
-        assert pair.divergence() == js_divergence([0.5, 0.5], [1.0, 0.0])
-        with pytest.raises(ValueError, match="bin counts"):
-            HistogramPair(np.array([0.5, 0.5]), np.array([1.0, 0.0, 0.0]))
-        with pytest.raises(ValueError, match="sum to 1"):
-            HistogramPair(np.array([0.5, 0.6]), np.array([1.0, 0.0]))
-
 
 class TestModeCoverage:
     def test_all_samples_at_first_mode(self):
@@ -172,11 +163,17 @@ def _toy_corpus(n=40, seed=0):
     return assign_splits(Corpus(utts), seed=1, holdout_fraction=0.2)
 
 
-def _replay_predictor(corpus):
+def _replay_predictor(corpus, calls=None):
     lookup = {}
     for u in corpus.utterances:
         lookup[u.tokens.ids] = u.prosody
-    return Predictor(name="replay", stochastic=False, fn=lambda tokens, rng: lookup[tokens.ids])
+
+    def fn(tokens, rng, n):
+        if calls is not None:
+            calls.append((tokens.ids, rng, n))
+        return [lookup[tokens.ids]] * n
+
+    return Predictor(name="replay", stochastic=False, fn=fn)
 
 
 class TestEvaluatePredictor:
@@ -184,7 +181,11 @@ class TestEvaluatePredictor:
         corpus = _toy_corpus()
         gt = ground_truth_pool(corpus)
         binnings = make_binnings(gt.edge_pool, bins=32)
-        sysev = evaluate_predictor(_replay_predictor(corpus), corpus, 0, 4, binnings, gt)
+        calls = []
+        sysev = evaluate_predictor(_replay_predictor(corpus, calls), corpus, 0, 4, binnings, gt)
+        # Deterministic: one call per test utterance, one draw, no stream.
+        assert calls == [(u.tokens.ids, None, 1) for u in corpus.subset("test")]
+        assert sysev.n_sequences == len(corpus.subset("test"))
         for dim in ("pitch", "energy", "log_duration"):
             assert sysev.pooled_js[dim] == 0.0
         for row in sysev.per_class_js.values():
@@ -209,18 +210,21 @@ class TestEvaluatePredictor:
         binnings = make_binnings(gt.edge_pool, bins=16)
         calls = []
 
-        def fn(tokens, rng):
-            calls.append(rng.normal())
-            n = len(tokens)
-            return ProsodySequence(
-                pitch=np.full(n, 150.0) + rng.normal(n),
-                energy=np.full(n, 1.0),
-                duration=np.full(n, 5),
-            )
+        def fn(tokens, rng, n):
+            calls.append(n)
+            length = len(tokens)
+            return [
+                ProsodySequence(
+                    pitch=np.full(length, 150.0) + rng.normal(length),
+                    energy=np.full(length, 1.0),
+                    duration=np.full(length, 5),
+                )
+                for _ in range(n)
+            ]
 
         pred = Predictor(name="noisy", stochastic=True, fn=fn)
         a = evaluate_predictor(pred, corpus, 7, 3, binnings, gt)
-        calls.clear()
+        assert calls == [3] * len(corpus.subset("test"))
         b = evaluate_predictor(pred, corpus, 7, 3, binnings, gt)
         assert a.pooled_js == b.pooled_js
         assert a.n_sequences == 3 * len(corpus.subset("test"))

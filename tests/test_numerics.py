@@ -311,3 +311,96 @@ class TestTensor:
     def test_non_finite_leaf_rejected(self):
         with pytest.raises(NonFiniteError):
             Tensor([1.0, np.nan])
+
+
+# -- masked MSE reference ---------------------------------------------------
+#
+# The two losses as first written, each with its own masking: the ddpm loss
+# zeroed padded targets before the squared error, the baseline summed one
+# masked squared error per head.  Both now go through ``nm.masked_mse`` and
+# must give the same gradients bit for bit.
+
+
+def _reference_ddpm_loss(model, x0, cond, t, eps, sched, mask):
+    from prosody_ddpm.diffusion import forward_diffuse
+
+    m3 = mask[..., None]
+    x_t = forward_diffuse(x0, t, eps, sched) * m3
+    eps_hat = model.forward(Tensor(x_t), model.condition(cond), model.steps(t))
+    diff = nm.sub(eps_hat, Tensor(eps * m3))
+    sq = nm.mul(diff, diff)
+    count = float(mask.sum()) * x0.shape[-1]
+    return nm.mul(nm.sum(nm.mul(sq, Tensor(m3))), 1.0 / count)
+
+
+def _reference_baseline_loss(model, cond, target, mask, rng, training):
+    from prosody_ddpm.baseline import HEADS
+
+    count = float(mask.sum())
+    m1 = Tensor(mask[..., None])
+    total = None
+    for d, head in enumerate(HEADS):
+        pred = model.head_forward(head, cond, rng, training)
+        diff = nm.sub(pred, Tensor(target[..., d : d + 1]))
+        part = nm.sum(nm.mul(nm.mul(diff, diff), m1))
+        total = part if total is None else nm.add(total, part)
+    return nm.mul(total, 1.0 / (count * len(HEADS)))
+
+
+def _loss_and_grads(make_loss, tensors):
+    with Tape() as tape:
+        loss = make_loss()
+    grads = nm.backward(tape, loss)
+    return loss.item(), {k: grads.wrt(v) for k, v in tensors.items()}
+
+
+def test_masked_mse_matches_per_loss_references(rng):
+    from prosody_ddpm.baseline import BaselineConfig, BaselineNet, baseline_loss_graph
+    from prosody_ddpm.denoiser import Denoiser, DenoiserConfig
+    from prosody_ddpm.diffusion import linear_schedule, training_loss_graph
+
+    from conftest import jitter_params
+
+    mask = np.array([[1, 1, 1, 1, 1], [1, 1, 0, 0, 0], [1, 1, 1, 1, 0]], dtype=float)
+    cond = Tensor(rng.normal((3, 5, 4)) * mask[..., None])
+    target = rng.normal((3, 5, 3))
+    # Junk at padded positions must not reach either loss.
+    target[mask == 0] = 7.0
+
+    den = Denoiser.init(DenoiserConfig(channels=6, layers=2, dilation_cycle=(1, 2), cond_dim=4,
+                                       step_hidden=8), rng)
+    jitter_params(den.params, rng)
+    sched = linear_schedule(30, 1e-3, 0.2)
+    x0, t = rng.normal((3, 5, 3)), np.array([3, 17, 30])
+    leaves = {**den.params, "cond": cond}
+    want = _loss_and_grads(
+        lambda: _reference_ddpm_loss(den, x0, cond, t, target, sched, mask), leaves
+    )
+    got = _loss_and_grads(lambda: training_loss_graph(den, x0, cond, t, target, sched, mask), leaves)
+    assert abs(got[0] - want[0]) <= 1e-15
+    for k in leaves:
+        assert np.array_equal(got[1][k], want[1][k]), k
+
+    net = BaselineNet.init(BaselineConfig(cond_dim=4, width=6, dropout=0.3), rng)
+    jitter_params(net.params, rng)
+    leaves = {**net.params, "cond": cond}
+    for training in (False, True):
+        want = _loss_and_grads(
+            lambda: _reference_baseline_loss(net, cond, target, mask, Rng(5), training), leaves
+        )
+        got = _loss_and_grads(
+            lambda: baseline_loss_graph(net, cond, target, mask, Rng(5), training), leaves
+        )
+        assert abs(got[0] - want[0]) <= 1e-15
+        for k in leaves:
+            assert np.array_equal(got[1][k], want[1][k]), (training, k)
+
+    losses = {
+        "training_loss": lambda m: training_loss_graph(den, x0, cond, t, target, sched, m),
+        "baseline_loss": lambda m: baseline_loss_graph(net, cond, target, m, Rng(5), True),
+    }
+    for name, loss in losses.items():
+        with pytest.raises(ValueError, match=f"{name}: mask excludes every position"):
+            loss(np.zeros((3, 5)))
+        with pytest.raises(ShapeError, match=f"{name}: mask"):
+            loss(np.ones((3, 4)))
