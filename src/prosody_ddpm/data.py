@@ -19,6 +19,7 @@ from .numerics import Rng
 
 DIM_NAMES = ("pitch", "energy", "log_duration")
 PITCH_FLOOR_HZ = 1e-6
+MAX_FRAMES = 2**53  # duration ceiling, exact in both float64 and int64
 
 
 class CorpusError(ValueError):
@@ -185,7 +186,8 @@ def denormalize(x: np.ndarray, stats: NormStats) -> ProsodySequence:
 
     The inverse of :func:`normalize` except for clamping physically
     impossible values: pitch is floored just above 0, energy at 0, and
-    duration is rounded half-up to an integer frame count of at least 1.
+    duration is rounded half-up to an integer frame count in
+    ``[1, MAX_FRAMES]``.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != 3:
@@ -195,10 +197,13 @@ def denormalize(x: np.ndarray, stats: NormStats) -> ProsodySequence:
 
 def _physical(raw: np.ndarray) -> ProsodySequence:
     """Raw (length, 3) pitch, energy, log-duration rows clamped to physical units."""
+    # Capping the log first keeps exp finite; the frame count then
+    # saturates at MAX_FRAMES instead of overflowing.
+    frames = np.floor(np.exp(np.minimum(raw[:, 2], np.log(2.0 * MAX_FRAMES))) + 0.5)
     return ProsodySequence(
         pitch=np.maximum(raw[:, 0], PITCH_FLOOR_HZ),
         energy=np.maximum(raw[:, 1], 0.0),
-        duration=np.maximum(1, np.floor(np.exp(raw[:, 2]) + 0.5).astype(np.int64)),
+        duration=np.clip(frames, 1, MAX_FRAMES).astype(np.int64),
     )
 
 
@@ -380,7 +385,10 @@ def save_spec(spec: SyntheticSpec, path) -> None:
 
 def load_spec(path) -> SyntheticSpec:
     with open(path, "r", encoding="utf-8") as fh:
-        return _spec_from_json(json.load(fh))
+        try:
+            return _spec_from_json(json.load(fh))
+        except (AttributeError, KeyError, TypeError, ValueError) as e:
+            raise CorpusError(f"{path}: malformed spec ({type(e).__name__}: {e})") from None
 
 
 def desk_bench_spec(vocab_size: int = 20) -> SyntheticSpec:

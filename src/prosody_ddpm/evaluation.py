@@ -3,9 +3,14 @@ divergence (pooled and per token class), mode coverage, and sampling-cost
 measurement.
 
 JS divergence is computed with the natural log, so values live in
-``[0, ln 2]``; this is stated in every rendered report.  Bin edges always
-come from pooled ground truth (train plus test splits), never from
-predictions, so compared systems are measured against the same ruler.
+``[0, ln 2]``; this is stated in every rendered report.  Token data is
+held in one shape, a token table: ids ``(N,)`` and raw features
+``(N, 3)`` concatenated in utterance order.  A report builds one
+:class:`Reference` from the corpus, with bin edges over the train and
+test splits (never from predictions, so compared systems are measured
+against the same ruler) and the test split's histograms, and scores
+every system against it.  :func:`evaluate_predictor` and
+:func:`measure_rtf` share one per-utterance draw loop.
 """
 
 from __future__ import annotations
@@ -45,13 +50,6 @@ class BinningSpec:
 
     def edges(self) -> np.ndarray:
         return np.linspace(self.lo, self.hi, self.bins + 1)
-
-
-def binning_from_values(dimension: str, values: np.ndarray, bins: int = 128) -> BinningSpec:
-    values = np.asarray(values, dtype=np.float64)
-    if values.size == 0:
-        raise ValueError(f"{dimension}: no values to derive bin edges from")
-    return BinningSpec(dimension, float(values.min()), float(values.max()), bins)
 
 
 def quantize(values, spec: BinningSpec) -> np.ndarray:
@@ -130,80 +128,102 @@ class Predictor:
     fn: Callable[[TokenSequence, Rng | None, int], list[ProsodySequence]]
 
 
+def token_table(pairs) -> tuple[np.ndarray, np.ndarray]:
+    """Token ids ``(N,)`` and raw features ``(N, 3)`` of a list of
+    ``(tokens, prosody)`` pairs, concatenated in order."""
+    ids = np.concatenate([tokens.as_array() for tokens, _ in pairs])
+    feats = np.concatenate([prosody.features() for _, prosody in pairs])
+    return ids, feats
+
+
+def _histograms(ids, feats, binnings, classes):
+    """Pooled histogram per dimension, and per class in ``classes``."""
+
+    def per_dim(rows):
+        return {dim: quantize(rows[:, d], binnings[dim]) for d, dim in enumerate(DIM_NAMES)}
+
+    return per_dim(feats), {int(c): per_dim(feats[ids == c]) for c in classes}
+
+
+@dataclass(frozen=True)
+class Reference:
+    """What every system in a report is scored against.
+
+    Bin edges span the train and test splits; the histograms are the
+    test split's (predictions are drawn for test utterances, so an oracle
+    that replays the test ground truth scores exactly zero divergence).
+    ``classes`` lists every class in either split.
+    """
+
+    binnings: dict[str, BinningSpec]
+    hist: dict[str, np.ndarray]
+    class_hist: dict[int, dict[str, np.ndarray]]
+    classes: tuple[int, ...]
+
+
+def _test_split(corpus: Corpus):
+    test = corpus.subset("test")
+    if not test:
+        raise ValueError("test split is empty: a corpus needs at least 2 utterances to hold one out")
+    return test
+
+
+def build_reference(corpus: Corpus, bins: int) -> Reference:
+    test = [(u.tokens, u.prosody) for u in _test_split(corpus)]
+    all_ids, all_feats = token_table([(u.tokens, u.prosody) for u in corpus.subset("train")] + test)
+    binnings = {
+        dim: BinningSpec(dim, all_feats[:, d].min(), all_feats[:, d].max(), bins)
+        for d, dim in enumerate(DIM_NAMES)
+    }
+    ids, feats = token_table(test)
+    hist, class_hist = _histograms(ids, feats, binnings, np.unique(ids))
+    return Reference(binnings, hist, class_hist, tuple(int(c) for c in np.unique(all_ids)))
+
+
+def _draws(predictor: Predictor, corpus: Corpus, seed: int, n: int):
+    """``(utterance, draws, seconds)`` per test utterance, timing only ``fn``.
+
+    A stochastic predictor draws ``n`` sequences from ``Rng((seed,
+    index))``, so results do not depend on evaluation order; a
+    deterministic one is called with ``rng=None`` and ``n=1``.
+    """
+    for ui, utt in enumerate(_test_split(corpus)):
+        rng, k = (Rng((seed, ui)), n) if predictor.stochastic else (None, 1)
+        t0 = time.perf_counter()
+        out = predictor.fn(utt.tokens, rng, k)
+        yield utt, out, time.perf_counter() - t0
+
+
 @dataclass
 class SystemEval:
+    """Scores of one system, plus the token table of its draws."""
+
     name: str
     n_sequences: int
-    n_tokens: int
     pooled_js: dict[str, float]
     per_class_js: dict[int, dict[str, float]]
     per_class_mean_js: dict[str, float]
     pooled_hist: dict[str, np.ndarray]
-    # Raw per-class value pools, kept for mode-coverage style follow-ups;
-    # not rendered into reports.
-    per_class_values: dict[int, dict[str, np.ndarray]] = field(default_factory=dict)
+    ids: np.ndarray
+    feats: np.ndarray
+
+    @property
+    def per_class_values(self) -> dict[int, dict[str, np.ndarray]]:
+        """Raw values per class and dimension, for mode-coverage style
+        follow-ups; not rendered into reports."""
+        return {
+            int(c): {dim: self.feats[self.ids == c, d] for d, dim in enumerate(DIM_NAMES)}
+            for c in np.unique(self.ids)
+        }
 
 
 @dataclass
 class EvalReport:
-    binnings: dict[str, BinningSpec]
-    gt_hist: dict[str, np.ndarray]
+    reference: Reference
     systems: list[SystemEval]
     warnings: list[str]
     metadata: dict[str, str]
     mode_coverage: dict[str, np.ndarray] = field(default_factory=dict)
-
-
-def _collect_values(sequences: list[tuple[TokenSequence, ProsodySequence]]):
-    """Pool (pitch, energy, log-duration) rows overall and per token class."""
-    pooled: dict[str, list[np.ndarray]] = {d: [] for d in DIM_NAMES}
-    per_class: dict[int, dict[str, list[np.ndarray]]] = {}
-    n_tokens = 0
-    for tokens, prosody in sequences:
-        feats = prosody.features()
-        n_tokens += len(tokens)
-        ids = tokens.as_array()
-        for d, dim in enumerate(DIM_NAMES):
-            pooled[dim].append(feats[:, d])
-        for cls in np.unique(ids):
-            rows = feats[ids == cls]
-            bucket = per_class.setdefault(int(cls), {d: [] for d in DIM_NAMES})
-            for d, dim in enumerate(DIM_NAMES):
-                bucket[dim].append(rows[:, d])
-    pooled_arr = {d: np.concatenate(v) for d, v in pooled.items()}
-    per_class_arr = {
-        c: {d: np.concatenate(v) for d, v in dims.items()} for c, dims in per_class.items()
-    }
-    return pooled_arr, per_class_arr, n_tokens
-
-
-@dataclass
-class GroundTruth:
-    """Reference pools: bin edges span train+test, histograms use the test
-    split (predictions are drawn for test utterances, so an oracle that
-    replays the test ground truth scores exactly zero divergence)."""
-
-    edge_pool: dict[str, np.ndarray]
-    test_pooled: dict[str, np.ndarray]
-    test_per_class: dict[int, dict[str, np.ndarray]]
-    all_classes: tuple[int, ...]
-
-
-def ground_truth_pool(corpus: Corpus) -> GroundTruth:
-    edge_rows = [(u.tokens, u.prosody) for u in corpus.subset("train") + corpus.subset("test")]
-    test_rows = [(u.tokens, u.prosody) for u in corpus.subset("test")]
-    edge_pool, edge_per_class, _ = _collect_values(edge_rows)
-    test_pooled, test_per_class, _ = _collect_values(test_rows)
-    return GroundTruth(
-        edge_pool=edge_pool,
-        test_pooled=test_pooled,
-        test_per_class=test_per_class,
-        all_classes=tuple(sorted(edge_per_class)),
-    )
-
-
-def make_binnings(gt_pooled: dict[str, np.ndarray], bins: int = 128) -> dict[str, BinningSpec]:
-    return {dim: binning_from_values(dim, gt_pooled[dim], bins) for dim in DIM_NAMES}
 
 
 def evaluate_predictor(
@@ -211,61 +231,39 @@ def evaluate_predictor(
     corpus: Corpus,
     seed: int,
     n_samples_per_utterance: int,
-    binnings: dict[str, BinningSpec],
-    gt: GroundTruth,
+    ref: Reference,
     warnings: list[str] | None = None,
 ) -> SystemEval:
-    """Pool predictions over the test split and score them against ground truth.
+    """Pool predictions over the test split and score them against ``ref``.
 
-    Pure function of (predictor, corpus, seed, config): each utterance
-    gets its own seeded stream so the result does not depend on
-    evaluation order.
+    Pure function of (predictor, corpus, seed, config).
     """
-    test = corpus.subset("test")
-    if not test:
-        raise ValueError("evaluate_predictor: test split is empty")
-    draws = n_samples_per_utterance if predictor.stochastic else 1
-    outputs: list[tuple[TokenSequence, ProsodySequence]] = []
-    for ui, utt in enumerate(test):
-        rng = Rng((seed, ui)) if predictor.stochastic else None
-        for ps in predictor.fn(utt.tokens, rng, draws):
-            outputs.append((utt.tokens, ps))
-    pooled, per_class, n_tokens = _collect_values(outputs)
-
-    pooled_js = {}
-    pooled_hist = {}
-    gt_hist_cache = {dim: quantize(gt.test_pooled[dim], binnings[dim]) for dim in DIM_NAMES}
-    for dim in DIM_NAMES:
-        hist = quantize(pooled[dim], binnings[dim])
-        pooled_hist[dim] = hist
-        pooled_js[dim] = js_divergence(hist, gt_hist_cache[dim])
-
-    per_class_js: dict[int, dict[str, float]] = {}
-    for cls in gt.all_classes:
-        if cls not in gt.test_per_class or cls not in per_class:
-            msg = f"class {cls}: absent from the test set; omitted from the table"
-            if warnings is not None and msg not in warnings:
-                warnings.append(msg)
-            continue
-        per_class_js[cls] = {
-            dim: js_divergence(
-                quantize(per_class[cls][dim], binnings[dim]),
-                quantize(gt.test_per_class[cls][dim], binnings[dim]),
-            )
-            for dim in DIM_NAMES
-        }
-    per_class_mean = {
-        dim: float(np.mean([row[dim] for row in per_class_js.values()])) for dim in DIM_NAMES
+    pairs = [
+        (utt.tokens, ps)
+        for utt, out, _ in _draws(predictor, corpus, seed, n_samples_per_utterance)
+        for ps in out
+    ]
+    ids, feats = token_table(pairs)
+    hist, class_hist = _histograms(ids, feats, ref.binnings, ref.class_hist)
+    for cls in ref.classes:
+        msg = f"class {cls}: absent from the test set; omitted from the table"
+        if cls not in ref.class_hist and warnings is not None and msg not in warnings:
+            warnings.append(msg)
+    per_class_js = {
+        cls: {dim: js_divergence(class_hist[cls][dim], ref_hist[dim]) for dim in DIM_NAMES}
+        for cls, ref_hist in ref.class_hist.items()
     }
     return SystemEval(
         name=predictor.name,
-        n_sequences=len(outputs),
-        n_tokens=n_tokens,
-        pooled_js=pooled_js,
+        n_sequences=len(pairs),
+        pooled_js={dim: js_divergence(hist[dim], ref.hist[dim]) for dim in DIM_NAMES},
         per_class_js=per_class_js,
-        per_class_mean_js=per_class_mean,
-        pooled_hist=pooled_hist,
-        per_class_values=per_class,
+        per_class_mean_js={
+            dim: float(np.mean([row[dim] for row in per_class_js.values()])) for dim in DIM_NAMES
+        },
+        pooled_hist=hist,
+        ids=ids,
+        feats=feats,
     )
 
 
@@ -278,14 +276,12 @@ def build_report(
     metadata: dict[str, str],
     synthetic_spec=None,
 ) -> EvalReport:
-    gt = ground_truth_pool(corpus)
-    binnings = make_binnings(gt.edge_pool, bins)
+    ref = build_reference(corpus, bins)
     warnings: list[str] = []
     systems = [
-        evaluate_predictor(p, corpus, seed, n_samples_per_utterance, binnings, gt, warnings)
+        evaluate_predictor(p, corpus, seed, n_samples_per_utterance, ref, warnings)
         for p in predictors
     ]
-    gt_hist = {dim: quantize(gt.test_pooled[dim], binnings[dim]) for dim in DIM_NAMES}
     meta = dict(metadata)
     meta["seed"] = str(seed)
     meta["bins"] = str(bins)
@@ -294,8 +290,7 @@ def build_report(
     if synthetic_spec is not None:
         coverage = _oracle_mode_coverage(synthetic_spec, systems, warnings)
     return EvalReport(
-        binnings=binnings,
-        gt_hist=gt_hist,
+        reference=ref,
         systems=systems,
         warnings=warnings,
         metadata=meta,
@@ -318,8 +313,8 @@ def _oracle_mode_coverage(spec, systems: list[SystemEval], warnings: list[str]):
             for k in range(len(cls.weights))
         ]
         for sysev in systems:
-            values = sysev.per_class_values.get(cls_id, {}).get("pitch")
-            if values is None or values.size == 0:
+            values = sysev.feats[sysev.ids == cls_id, 0]
+            if values.size == 0:
                 continue
             try:
                 coverage[f"{sysev.name}/class{cls_id}/pitch"] = mode_coverage(values, modes)
@@ -342,7 +337,7 @@ def render_report(report: EvalReport) -> str:
     out.append("[binning]")
     out.append("dimension\tbins\tlo\thi")
     for dim in DIM_NAMES:
-        b = report.binnings[dim]
+        b = report.reference.binnings[dim]
         out.append(f"{dim}\t{b.bins}\t{b.lo!r}\t{b.hi!r}")
     out.append("")
     out.append("[pooled_js]")
@@ -388,14 +383,14 @@ def write_histograms(report: EvalReport, directory) -> list[str]:
 
     written = []
     for dim in DIM_NAMES:
-        b = report.binnings[dim]
+        b = report.reference.binnings[dim]
         edges = b.edges()
         path = os.path.join(str(directory), f"hist_{dim}.tsv")
         names = [s.name for s in report.systems]
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("bin_lo\tbin_hi\tground_truth\t" + "\t".join(names) + "\n")
             for i in range(b.bins):
-                cols = [repr(float(edges[i])), repr(float(edges[i + 1])), f"{report.gt_hist[dim][i]:.8f}"]
+                cols = [repr(float(edges[i])), repr(float(edges[i + 1])), f"{report.reference.hist[dim][i]:.8f}"]
                 cols += [f"{s.pooled_hist[dim][i]:.8f}" for s in report.systems]
                 fh.write("\t".join(cols) + "\n")
         written.append(path)
@@ -424,34 +419,23 @@ def measure_rtf(
     seed: int = 0,
 ) -> RtfResult:
     """Wall-clock prediction time over implied audio time, averaged over
-    the test split.  Audio time comes from ground-truth durations at the
-    assumed frame rate; zero-duration utterances are excluded.
+    the test split.
+
+    Each test utterance gets one draw through the loop
+    :func:`evaluate_predictor` uses (same per-utterance streams), and
+    only the predictor call is timed.  Audio time comes from ground-truth
+    durations at the assumed frame rate.
     """
     if frame_rate <= 0.0:
         raise ValueError(f"frame_rate must be positive, got {frame_rate}")
-    test = corpus.subset("test")
-    rtfs = []
-    total_s = 0.0
-    total_audio = 0.0
-    used = 0
-    for ui, utt in enumerate(test):
-        frames = int(utt.prosody.duration.sum())
-        if frames == 0:
-            continue
-        rng = Rng((seed, ui)) if predictor.stochastic else None
-        t0 = time.perf_counter()
-        predictor.fn(utt.tokens, rng, 1)
-        dt = time.perf_counter() - t0
-        audio = frames / frame_rate
-        rtfs.append(dt / audio)
-        total_s += dt
-        total_audio += audio
-        used += 1
-    if not used:
-        raise ValueError("measure_rtf: no usable test utterances")
+    timed = [
+        (dt, utt.prosody.duration.sum() / frame_rate)
+        for utt, _, dt in _draws(predictor, corpus, seed, 1)
+    ]
+    secs, audio = (np.array(col, dtype=np.float64) for col in zip(*timed))
     return RtfResult(
-        rtf=float(np.mean(rtfs)),
-        seconds_per_utterance=total_s / used,
-        audio_seconds_per_utterance=total_audio / used,
-        n_utterances=used,
+        rtf=float(np.mean(secs / audio)),
+        seconds_per_utterance=float(secs.mean()),
+        audio_seconds_per_utterance=float(audio.mean()),
+        n_utterances=len(timed),
     )

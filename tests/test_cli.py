@@ -8,7 +8,14 @@ import pytest
 from prosody_ddpm.checkpoint import load_checkpoint, save_checkpoint
 from prosody_ddpm.cli import main
 from prosody_ddpm.config import default_config
-from prosody_ddpm.data import desk_bench_spec, generate_corpus, load_corpus, save_corpus, save_spec
+from prosody_ddpm.data import (
+    Corpus,
+    desk_bench_spec,
+    generate_corpus,
+    load_corpus,
+    save_corpus,
+    save_spec,
+)
 from prosody_ddpm.numerics import Rng
 from prosody_ddpm.training import TrainingDiverged, train_model
 
@@ -43,6 +50,26 @@ def tiny_corpus_file(tiny_corpus, tmp_path_factory):
     path = tmp_path_factory.mktemp("corpus") / "tiny.tsv"
     save_corpus(tiny_corpus, path)
     save_spec(desk_bench_spec(6), str(path) + ".spec.json")
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def untrained(tiny_corpus_file, tmp_path_factory):
+    """Step-0 ddpm and baseline checkpoints on the tiny corpus's splits."""
+    root = tmp_path_factory.mktemp("untrained")
+    args = ["train", "--corpus", tiny_corpus_file, "--train.steps", "0"]
+    args += [f"--{key}={val}" for key, val in TINY]
+    paths = {}
+    for kind in ("ddpm", "baseline"):
+        assert main(args + ["--model", kind, "--out", str(root / kind)]) == 0
+        paths[kind] = str(root / kind / "checkpoint.bin")
+    return paths
+
+
+@pytest.fixture
+def one_utterance_corpus(tiny_corpus, tmp_path):
+    path = tmp_path / "one.tsv"
+    save_corpus(Corpus(tiny_corpus.utterances[:1]), path)
     return str(path)
 
 
@@ -262,6 +289,27 @@ class TestCommands:
                    "--corpus", tiny_corpus_file, "--out", str(tmp_path / "ev")])
         assert rc == 2
         assert "normalization statistics" in capsys.readouterr().err
+
+    def test_eval_names_empty_test_split(self, untrained, one_utterance_corpus, tmp_path, capsys):
+        rc = main(["eval", "--ddpm", untrained["ddpm"], "--baseline", untrained["baseline"],
+                   "--corpus", one_utterance_corpus, "--out", str(tmp_path / "ev")])
+        assert rc == 2
+        assert "test split is empty" in capsys.readouterr().err
+
+    def test_rtf_names_empty_test_split(self, untrained, one_utterance_corpus, capsys):
+        rc = main(["rtf", "--checkpoint", untrained["baseline"], "--corpus", one_utterance_corpus])
+        assert rc == 2
+        assert "test split is empty" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc", ['{"vocab_size": 20}', "[1, 2]"])
+    def test_eval_rejects_malformed_spec(self, untrained, tiny_corpus, tmp_path, capsys, doc):
+        corpus = tmp_path / "c.tsv"
+        save_corpus(tiny_corpus, corpus)
+        (tmp_path / "c.tsv.spec.json").write_text(doc)
+        rc = main(["eval", "--ddpm", untrained["ddpm"], "--baseline", untrained["baseline"],
+                   "--corpus", str(corpus), "--out", str(tmp_path / "ev")])
+        assert rc == 2
+        assert "c.tsv.spec.json: malformed spec" in capsys.readouterr().err
 
     def test_invalid_adam_beta_rejected(self, tiny_corpus_file, tmp_path, capsys):
         rc = main(["train", "--model", "ddpm", "--corpus", tiny_corpus_file,

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prosody_ddpm.data import (
+    MAX_FRAMES,
     ClassSpec,
     Corpus,
     CorpusError,
@@ -179,6 +180,14 @@ class TestNormalization:
         x = np.array([[100.0, 1.0, np.log(2.5)], [100.0, 1.0, np.log(0.2)]])
         ps = denormalize(x, stats)
         assert ps.duration.tolist() == [3, 1]
+
+    def test_overflowing_log_duration_saturates(self):
+        # exp(1000) overflows float64; the frame count must saturate at the
+        # ceiling (not wrap to the 1-frame floor) without a RuntimeWarning.
+        x = np.array([[100.0, 1.0, 1000.0], [100.0, 1.0, 40.0], [100.0, 1.0, 36.0]])
+        ps = denormalize(x, NormStats.identity())
+        assert ps.duration.tolist() == [MAX_FRAMES, MAX_FRAMES, int(np.floor(np.exp(36.0) + 0.5))]
+        assert float(MAX_FRAMES) == MAX_FRAMES
 
     def test_zero_variance_rejected(self):
         utts = [

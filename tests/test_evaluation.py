@@ -16,12 +16,10 @@ from prosody_ddpm.evaluation import (
     LN2,
     BinningSpec,
     Predictor,
-    binning_from_values,
+    build_reference,
     build_report,
     evaluate_predictor,
-    ground_truth_pool,
     js_divergence,
-    make_binnings,
     measure_rtf,
     mode_coverage,
     quantize,
@@ -63,8 +61,6 @@ class TestQuantize:
             BinningSpec("pitch", 0.0, 1.0, bins=1)
         with pytest.raises(ValueError, match="range"):
             BinningSpec("pitch", 1.0, 1.0)
-        with pytest.raises(ValueError, match="no values"):
-            binning_from_values("pitch", np.array([]))
 
 
 class TestJsDivergence:
@@ -179,10 +175,9 @@ def _replay_predictor(corpus, calls=None):
 class TestEvaluatePredictor:
     def test_replay_predictor_scores_zero(self):
         corpus = _toy_corpus()
-        gt = ground_truth_pool(corpus)
-        binnings = make_binnings(gt.edge_pool, bins=32)
+        ref = build_reference(corpus, bins=32)
         calls = []
-        sysev = evaluate_predictor(_replay_predictor(corpus, calls), corpus, 0, 4, binnings, gt)
+        sysev = evaluate_predictor(_replay_predictor(corpus, calls), corpus, 0, 4, ref)
         # Deterministic: one call per test utterance, one draw, no stream.
         assert calls == [(u.tokens.ids, None, 1) for u in corpus.subset("test")]
         assert sysev.n_sequences == len(corpus.subset("test"))
@@ -206,8 +201,7 @@ class TestEvaluatePredictor:
 
     def test_stochastic_predictor_uses_per_utterance_streams(self):
         corpus = _toy_corpus()
-        gt = ground_truth_pool(corpus)
-        binnings = make_binnings(gt.edge_pool, bins=16)
+        ref = build_reference(corpus, bins=16)
         calls = []
 
         def fn(tokens, rng, n):
@@ -223,11 +217,24 @@ class TestEvaluatePredictor:
             ]
 
         pred = Predictor(name="noisy", stochastic=True, fn=fn)
-        a = evaluate_predictor(pred, corpus, 7, 3, binnings, gt)
+        a = evaluate_predictor(pred, corpus, 7, 3, ref)
         assert calls == [3] * len(corpus.subset("test"))
-        b = evaluate_predictor(pred, corpus, 7, 3, binnings, gt)
+        b = evaluate_predictor(pred, corpus, 7, 3, ref)
         assert a.pooled_js == b.pooled_js
         assert a.n_sequences == 3 * len(corpus.subset("test"))
+
+    def test_ground_truth_quantized_once_per_report(self, monkeypatch):
+        corpus = _toy_corpus()
+        calls = []
+        monkeypatch.setattr(
+            "prosody_ddpm.evaluation.quantize", lambda v, spec: calls.append(spec) or quantize(v, spec)
+        )
+        build_report(corpus, [_replay_predictor(corpus)] * 3, seed=0,
+                     n_samples_per_utterance=1, bins=16, metadata={})
+        n_classes = len({i for u in corpus.subset("test") for i in u.tokens.ids})
+        # One pooled and one per-class histogram per dimension, for the
+        # ground truth once and for each of the three systems.
+        assert len(calls) == (1 + 3) * 3 * (1 + n_classes)
 
     def test_histogram_files(self, tmp_path):
         corpus = _toy_corpus()
