@@ -1,5 +1,8 @@
 """Corpus transforms, synthetic generation oracles, and the file format."""
 
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,6 +31,8 @@ from prosody_ddpm.data import (
 )
 from prosody_ddpm.numerics import Rng
 
+GOLDEN = Path(__file__).parent / "golden"
+
 
 def single_class_spec(mean, stds, weights=None, means_delta=None):
     """One-class spec; optionally a mixture with pitch-shifted components."""
@@ -42,6 +47,26 @@ def single_class_spec(mean, stds, weights=None, means_delta=None):
     covs = np.stack([cov] * len(weights))
     return SyntheticSpec(
         vocab_size=1, classes=(ClassSpec(weights=weights, means=means, covs=covs),)
+    )
+
+
+def biased_spec() -> SyntheticSpec:
+    """Two classes with neighbour weight biases and mean offsets on both sides."""
+    cov = np.diag([25.0, 0.01, 0.04])
+    return SyntheticSpec(
+        vocab_size=2,
+        classes=(
+            ClassSpec(
+                weights=np.array([0.25, 0.75]),
+                means=np.array([[110.0, 0.9, 1.5], [150.0, 1.1, 2.0]]),
+                covs=np.stack([cov, 2.0 * cov]),
+                weight_bias_left=np.array([[0.5, -0.5], [-1.0, 1.0]]),
+                weight_bias_right=np.array([[0.0, 0.25], [1.5, 0.0]]),
+            ),
+            ClassSpec(np.array([1.0]), np.array([[200.0, 0.7, 2.5]]), cov[None]),
+        ),
+        mean_offset_left=np.array([[3.0, 0.05, 0.0], [-3.0, 0.0, 0.1]]),
+        mean_offset_right=np.array([[0.0, -0.05, 0.0], [1.0, 0.0, -0.1]]),
     )
 
 
@@ -149,6 +174,26 @@ class TestGeneration:
             np.testing.assert_array_equal(a.means, b.means)
             np.testing.assert_array_equal(a.covs, b.covs)
         np.testing.assert_array_equal(loaded.mean_offset_left, spec.mean_offset_left)
+
+    @pytest.mark.parametrize("name", ["spec_desk4.json", "spec_biased.json"])
+    def test_spec_matches_golden_file(self, tmp_path, name):
+        spec = desk_bench_spec(4) if name == "spec_desk4.json" else biased_spec()
+        path = tmp_path / name
+        save_spec(spec, path)
+        assert path.read_bytes() == (GOLDEN / name).read_bytes()
+        loaded = load_spec(GOLDEN / name)
+        assert loaded.vocab_size == spec.vocab_size
+        assert len(loaded.classes) == len(spec.classes)
+        for got, want in [(loaded, spec), *zip(loaded.classes, spec.classes)]:
+            for f in dataclasses.fields(want):
+                if f.name in ("vocab_size", "classes"):
+                    continue
+                a, b = getattr(got, f.name), getattr(want, f.name)
+                if b is None:
+                    assert a is None, f.name
+                else:
+                    assert a.dtype == np.float64, f.name
+                    np.testing.assert_array_equal(a, b)
 
 
 class TestNormalization:
