@@ -156,11 +156,18 @@ def load_checkpoint(path) -> Checkpoint:
     rng_seed_json = r.s()
     rng_state_json = r.s()
     stats = NormStats(r.f64(3), r.f64(3))
+
+    def finite(what: str, name: str) -> np.ndarray:
+        arr = _read_array(r)
+        if not np.all(np.isfinite(arr)):
+            raise CheckpointError(f"{path}: non-finite values in {what} {name!r}")
+        return arr
+
     n_params = r.u("<I")
     params: dict[str, Tensor] = {}
     for _ in range(n_params):
         name = r.s("<H")
-        params[name] = Tensor(_read_array(r), _checked_op=None)
+        params[name] = Tensor(finite("parameter", name), _checked_op=None)
     opt_t = 0
     opt_m: dict[str, np.ndarray] = {}
     opt_v: dict[str, np.ndarray] = {}
@@ -168,8 +175,8 @@ def load_checkpoint(path) -> Checkpoint:
         opt_t = r.u("<Q")
         for name in params:
             if r.u("<B"):
-                opt_m[name] = _read_array(r)
-                opt_v[name] = _read_array(r)
+                opt_m[name] = finite("first moment of", name)
+                opt_v[name] = finite("second moment of", name)
     if r.pos != len(r.buf):
         raise CheckpointError(f"{path}: {len(r.buf) - r.pos} trailing bytes after the checkpoint")
     return Checkpoint(

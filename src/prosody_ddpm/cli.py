@@ -104,20 +104,21 @@ def cmd_train(args, extra: list[str]) -> int:
     _write_config_log(config, overrides, os.path.join(out_dir, "config.txt"))
     ckpt_path = os.path.join(out_dir, "checkpoint.bin")
     log_path = os.path.join(out_dir, "loss_log.tsv")
-    log_rows: list[tuple[int, float]] = []
-    try:
-        final, log_rows = train_model(
+    # Rows are written as they are logged, so a run that diverges keeps them.
+    with open(log_path, "w", encoding="utf-8") as log:
+
+        def on_log(step: int, loss: float) -> None:
+            log.write(f"{step}\t{loss!r}\n")
+            print(f"step {step}: loss {loss:.6f}")
+
+        final, _ = train_model(
             config,
             corpus,
             args.model,
             resume=resume,
             on_checkpoint=lambda ck: save_checkpoint(ck, ckpt_path),
-            on_log=lambda step, loss: print(f"step {step}: loss {loss:.6f}"),
+            on_log=on_log,
         )
-    finally:
-        with open(log_path, "w", encoding="utf-8") as fh:
-            for step, loss in log_rows:
-                fh.write(f"{step}\t{loss!r}\n")
     print(f"finished at step {final.step}; checkpoint at {ckpt_path}")
     return 0
 

@@ -11,7 +11,7 @@ split only.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -64,6 +64,8 @@ class ProsodySequence:
         n = len(self.pitch)
         if not (len(self.energy) == len(self.duration) == n) or n < 1:
             raise ValueError("pitch, energy, duration must share one length >= 1")
+        if not (np.all(np.isfinite(self.pitch)) and np.all(np.isfinite(self.energy))):
+            raise ValueError("pitch and energy must be finite")
         if np.any(self.pitch <= 0.0):
             raise ValueError("pitch must be > 0 Hz")
         if np.any(self.energy < 0.0):
@@ -255,6 +257,8 @@ def load_corpus(path) -> Corpus:
                 raise CorpusError(f"line {lineno}: {e}") from None
             if any(not d.is_integer() for d in duration_f):
                 raise CorpusError(f"line {lineno} ({utt_id}): durations must be integers")
+            if any(d > MAX_FRAMES for d in duration_f):
+                raise CorpusError(f"line {lineno} ({utt_id}): durations must be at most {MAX_FRAMES}")
             if not (len(ids) == len(pitch) == len(energy) == len(duration_f)):
                 raise CorpusError(f"line {lineno} ({utt_id}): field lengths differ")
             try:
@@ -334,59 +338,23 @@ class SyntheticSpec:
                 raise ValueError(f"{side} mean offsets must be (vocab, 3)")
 
 
-def _spec_to_json(spec: SyntheticSpec) -> dict:
-    def arr(a):
-        return None if a is None else np.asarray(a).tolist()
-
-    return {
-        "vocab_size": spec.vocab_size,
-        "mean_offset_left": arr(spec.mean_offset_left),
-        "mean_offset_right": arr(spec.mean_offset_right),
-        "classes": [
-            {
-                "weights": arr(c.weights),
-                "means": arr(c.means),
-                "covs": arr(c.covs),
-                "weight_bias_left": arr(c.weight_bias_left),
-                "weight_bias_right": arr(c.weight_bias_right),
-            }
-            for c in spec.classes
-        ],
-    }
-
-
-def _spec_from_json(doc: dict) -> SyntheticSpec:
-    def arr(v):
-        return None if v is None else np.asarray(v, dtype=np.float64)
-
-    classes = tuple(
-        ClassSpec(
-            weights=arr(c["weights"]),
-            means=arr(c["means"]),
-            covs=arr(c["covs"]),
-            weight_bias_left=arr(c.get("weight_bias_left")),
-            weight_bias_right=arr(c.get("weight_bias_right")),
-        )
-        for c in doc["classes"]
-    )
-    return SyntheticSpec(
-        vocab_size=int(doc["vocab_size"]),
-        classes=classes,
-        mean_offset_left=arr(doc.get("mean_offset_left")),
-        mean_offset_right=arr(doc.get("mean_offset_right")),
-    )
-
-
 def save_spec(spec: SyntheticSpec, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_spec_to_json(spec), fh, indent=1, sort_keys=True)
+        json.dump(asdict(spec), fh, indent=1, sort_keys=True, default=np.ndarray.tolist)
         fh.write("\n")
 
 
 def load_spec(path) -> SyntheticSpec:
+    """Read a spec written by :func:`save_spec`; lists become float64 arrays."""
+
+    def arrays(doc: dict) -> dict:
+        return {k: np.asarray(v, dtype=np.float64) if isinstance(v, list) else v for k, v in doc.items()}
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return _spec_from_json(json.load(fh))
+            doc = json.load(fh)
+            classes = tuple(ClassSpec(**arrays(c)) for c in doc.pop("classes"))
+            return SyntheticSpec(classes=classes, **arrays(doc))
         except (AttributeError, KeyError, TypeError, ValueError) as e:
             raise CorpusError(f"{path}: malformed spec ({type(e).__name__}: {e})") from None
 

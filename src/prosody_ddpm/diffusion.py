@@ -165,9 +165,10 @@ def reverse_step(
     features for ``t`` (``model.condition``, ``model.steps``).  ``z`` is
     the injected standard normal; it is forced to zero at ``t == 1``
     regardless of what the caller supplies (the last step is
-    deterministic, and ``sigma[1] == 0`` enforces the same thing).
+    deterministic, and ``sigma[1] == 0`` enforces the same thing); ``None``
+    at ``t > 1`` returns the posterior mean alone.  :func:`posterior_mean`
+    range-checks ``t``, once per step.
     """
-    sched.check_step(t)
     eps_hat = model.forward(Tensor(x_t), cond, e).data
     mu = posterior_mean(x_t, eps_hat, t, sched)
     if t == 1 or z is None:

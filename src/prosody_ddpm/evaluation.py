@@ -118,14 +118,12 @@ class Predictor:
     """A trained system under evaluation.
 
     ``fn(tokens, rng, n)`` draws ``n`` prosody sequences for one
-    utterance.  Stochastic predictors get ``n_samples`` draws per
-    utterance from a per-utterance seeded stream; deterministic ones are
-    called once per utterance with ``rng=None`` and ``n=1``.
+    utterance from ``rng``.  A deterministic predictor ignores ``rng``
+    and returns ``n`` copies of its one output.
     """
 
     name: str
-    stochastic: bool
-    fn: Callable[[TokenSequence, Rng | None, int], list[ProsodySequence]]
+    fn: Callable[[TokenSequence, Rng, int], list[ProsodySequence]]
 
 
 def token_table(pairs) -> tuple[np.ndarray, np.ndarray]:
@@ -183,14 +181,13 @@ def build_reference(corpus: Corpus, bins: int) -> Reference:
 def _draws(predictor: Predictor, corpus: Corpus, seed: int, n: int):
     """``(utterance, draws, seconds)`` per test utterance, timing only ``fn``.
 
-    A stochastic predictor draws ``n`` sequences from ``Rng((seed,
-    index))``, so results do not depend on evaluation order; a
-    deterministic one is called with ``rng=None`` and ``n=1``.
+    Every predictor draws ``n`` sequences from ``Rng((seed, index))``, so
+    results do not depend on evaluation order.
     """
     for ui, utt in enumerate(_test_split(corpus)):
-        rng, k = (Rng((seed, ui)), n) if predictor.stochastic else (None, 1)
+        rng = Rng((seed, ui))
         t0 = time.perf_counter()
-        out = predictor.fn(utt.tokens, rng, k)
+        out = predictor.fn(utt.tokens, rng, n)
         yield utt, out, time.perf_counter() - t0
 
 
@@ -232,7 +229,6 @@ def evaluate_predictor(
     seed: int,
     n_samples_per_utterance: int,
     ref: Reference,
-    warnings: list[str] | None = None,
 ) -> SystemEval:
     """Pool predictions over the test split and score them against ``ref``.
 
@@ -245,10 +241,6 @@ def evaluate_predictor(
     ]
     ids, feats = token_table(pairs)
     hist, class_hist = _histograms(ids, feats, ref.binnings, ref.class_hist)
-    for cls in ref.classes:
-        msg = f"class {cls}: absent from the test set; omitted from the table"
-        if cls not in ref.class_hist and warnings is not None and msg not in warnings:
-            warnings.append(msg)
     per_class_js = {
         cls: {dim: js_divergence(class_hist[cls][dim], ref_hist[dim]) for dim in DIM_NAMES}
         for cls, ref_hist in ref.class_hist.items()
@@ -277,11 +269,9 @@ def build_report(
     synthetic_spec=None,
 ) -> EvalReport:
     ref = build_reference(corpus, bins)
-    warnings: list[str] = []
-    systems = [
-        evaluate_predictor(p, corpus, seed, n_samples_per_utterance, ref, warnings)
-        for p in predictors
-    ]
+    absent = [c for c in ref.classes if c not in ref.class_hist]
+    warnings = [f"class {c}: absent from the test set; omitted from the table" for c in absent]
+    systems = [evaluate_predictor(p, corpus, seed, n_samples_per_utterance, ref) for p in predictors]
     meta = dict(metadata)
     meta["seed"] = str(seed)
     meta["bins"] = str(bins)

@@ -200,71 +200,39 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
-def _binary(op: str, a: Tensor, b: Tensor | float):
-    if isinstance(b, Tensor):
-        try:
-            np.broadcast_shapes(a.shape, b.shape)
-        except ValueError:
-            raise ShapeError(op, f"shapes {a.shape} and {b.shape} do not broadcast") from None
-    return b
+def _binary(op: str, a: Tensor, b: Tensor | float, fn, da, db) -> Tensor:
+    """Broadcasting ``fn(a, b)``, ``b`` a tensor or a constant; ``da``/``db``
+    map ``(dout, a, b)`` arrays to each operand's gradient before unbroadcasting."""
+    if not isinstance(b, Tensor):
+        k = float(b)
+        return _emit(op, fn(a.data, k), lambda dout: [(a, da(dout, a.data, k))])
+    try:
+        out = fn(a.data, b.data)
+    except ValueError:
+        raise ShapeError(op, f"shapes {a.shape} and {b.shape} do not broadcast") from None
+
+    def back(dout):
+        return [
+            (a, _unbroadcast(da(dout, a.data, b.data), a.shape)),
+            (b, _unbroadcast(db(dout, a.data, b.data), b.shape)),
+        ]
+
+    return _emit(op, out, back)
 
 
 def add(a: Tensor, b: Tensor | float) -> Tensor:
     """Elementwise ``a + b`` with numpy broadcasting; ``b`` may be a constant."""
-    _binary("add", a, b)
-    if isinstance(b, Tensor):
-        out = a.data + b.data
-
-        def back(dout):
-            return [(a, _unbroadcast(dout, a.shape)), (b, _unbroadcast(dout, b.shape))]
-
-    else:
-        out = a.data + float(b)
-
-        def back(dout):
-            return [(a, dout)]
-
-    return _emit("add", out, back)
+    return _binary("add", a, b, np.add, lambda d, x, y: d, lambda d, x, y: d)
 
 
 def sub(a: Tensor, b: Tensor | float) -> Tensor:
     """Elementwise ``a - b``; ``b`` may be a constant."""
-    _binary("sub", a, b)
-    if isinstance(b, Tensor):
-        out = a.data - b.data
-
-        def back(dout):
-            return [(a, _unbroadcast(dout, a.shape)), (b, _unbroadcast(-dout, b.shape))]
-
-    else:
-        out = a.data - float(b)
-
-        def back(dout):
-            return [(a, dout)]
-
-    return _emit("sub", out, back)
+    return _binary("sub", a, b, np.subtract, lambda d, x, y: d, lambda d, x, y: -d)
 
 
 def mul(a: Tensor, b: Tensor | float) -> Tensor:
     """Elementwise ``a * b``; ``b`` may be a constant."""
-    _binary("mul", a, b)
-    if isinstance(b, Tensor):
-        out = a.data * b.data
-
-        def back(dout):
-            return [
-                (a, _unbroadcast(dout * b.data, a.shape)),
-                (b, _unbroadcast(dout * a.data, b.shape)),
-            ]
-
-    else:
-        k = float(b)
-        out = a.data * k
-
-        def back(dout):
-            return [(a, dout * k)]
-
-    return _emit("mul", out, back)
+    return _binary("mul", a, b, np.multiply, lambda d, x, y: d * y, lambda d, x, y: d * x)
 
 
 def tanh(x: Tensor) -> Tensor:
@@ -276,9 +244,13 @@ def tanh(x: Tensor) -> Tensor:
     return _emit("tanh", y, back)
 
 
-def sigmoid(x: Tensor) -> Tensor:
+def _sigmoid(x: np.ndarray) -> np.ndarray:
     # tanh form is overflow-free for any float64 input.
-    y = 0.5 * (1.0 + np.tanh(0.5 * x.data))
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
+
+
+def sigmoid(x: Tensor) -> Tensor:
+    y = _sigmoid(x.data)
 
     def back(dout):
         return [(x, dout * y * (1.0 - y))]
@@ -351,8 +323,7 @@ def gated_tanh(z: Tensor) -> Tensor:
         raise ShapeError("gated_tanh", f"last axis must hold 2C channels, got {z.shape}")
     c = z.shape[-1] // 2
     a = np.tanh(z.data[..., :c])
-    # tanh form of the sigmoid is overflow-free for any float64 input.
-    s = 0.5 * (1.0 + np.tanh(0.5 * z.data[..., c:]))
+    s = _sigmoid(z.data[..., c:])
 
     def back(dout):
         dz = np.empty_like(z.data)

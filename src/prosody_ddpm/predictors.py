@@ -28,15 +28,15 @@ def ddpm_predictor(
         x0 = diffusion.sample_model_space(model.net, tiled, sched, rng)
         return [denormalize(x0[i], stats) for i in range(n)]
 
-    return Predictor(name=name, stochastic=True, fn=draw)
+    return Predictor(name=name, fn=draw)
 
 
 def baseline_predictor(model: TrainableModel, stats: NormStats, name: str = "baseline") -> Predictor:
-    def draw(tokens: TokenSequence, rng: Rng | None, n: int) -> list[ProsodySequence]:
+    def draw(tokens: TokenSequence, rng: Rng, n: int) -> list[ProsodySequence]:
         vec = model.cond.forward(tokens.as_array())
         return [denormalize(baseline_predict(model.net, vec), stats)] * n
 
-    return Predictor(name=name, stochastic=False, fn=draw)
+    return Predictor(name=name, fn=draw)
 
 
 def predictor_from_checkpoint(ck: Checkpoint, name: str | None = None) -> Predictor:

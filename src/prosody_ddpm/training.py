@@ -97,11 +97,18 @@ def init_model(config: Config, kind: str, rng: Rng) -> TrainableModel:
     return TrainableModel(kind=kind, cond=cond, net=net)
 
 
+def _check_params(given: dict[str, Tensor], expected: dict[str, Tensor], what: str) -> None:
+    """Raise unless ``given`` holds exactly the names and shapes of ``expected``."""
+    if set(given) != set(expected):
+        raise ConfigError(f"{what}: parameter names do not match")
+    for k, p in expected.items():
+        if given[k].shape != p.shape:
+            raise ConfigError(f"{what}: parameter {k!r} has shape {given[k].shape}, not {p.shape}")
+
+
 def model_from_checkpoint(ck: Checkpoint) -> TrainableModel:
     model = init_model(ck.config, ck.kind, Rng(0))
-    expected = set(model.params)
-    if expected != set(ck.params):
-        raise ConfigError("checkpoint parameters do not match its config topology")
+    _check_params(ck.params, model.params, "checkpoint does not match its config topology")
     model.replace_params(ck.params)
     return model
 
@@ -264,10 +271,8 @@ def train_model(
 
 def _adopt_condition(model: TrainableModel, donor: Checkpoint, stats: NormStats) -> None:
     donor_cond = {k: v for k, v in donor.params.items() if k.startswith("cond.")}
-    if set(donor_cond) != set(model.cond.params) or any(
-        donor_cond[k].shape != model.cond.params[k].shape for k in donor_cond
-    ):
-        raise ConfigError("condition.init_from checkpoint has an incompatible condition encoder")
+    what = "condition.init_from checkpoint has an incompatible condition encoder"
+    _check_params(donor_cond, model.cond.params, what)
     if not donor.stats.equals(stats):
         raise ConfigError(
             "condition.init_from checkpoint was trained on different normalization statistics"

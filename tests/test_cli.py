@@ -16,7 +16,7 @@ from prosody_ddpm.data import (
     save_corpus,
     save_spec,
 )
-from prosody_ddpm.numerics import Rng
+from prosody_ddpm.numerics import Rng, Tensor
 from prosody_ddpm.training import TrainingDiverged, train_model
 
 TINY = [
@@ -34,6 +34,13 @@ TINY = [
     ("train.log_every", "10"),
     ("train.checkpoint_every", "0"),
 ]
+
+
+# A valid one-class spec plus a key save_spec never writes.
+UNKNOWN_KEY_SPEC = (
+    '{"vocab_size": 1, "classes": [{"weights": [1.0], "means": [[100.0, 1.0, 1.0]], '
+    '"covs": [[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]]}], "colour": "red"}'
+)
 
 
 def tiny_config(*extra):
@@ -273,6 +280,17 @@ class TestCommands:
         assert f"-n must be at least 1, got {n}" in capsys.readouterr().err
         assert not (tmp_path / "s.tsv").exists()
 
+    def test_sample_names_misshapen_parameter(self, untrained, tmp_path, capsys):
+        ck = load_checkpoint(untrained["ddpm"])
+        name = next(k for k, p in ck.params.items() if p.data.ndim == 1)
+        size = ck.params[name].shape[0] + 1
+        ck.params[name] = Tensor(np.zeros(size))
+        save_checkpoint(ck, tmp_path / "bad.bin")
+        rc = main(["sample", "--checkpoint", str(tmp_path / "bad.bin"), "--tokens", "0 1",
+                   "--out", str(tmp_path / "s.tsv")])
+        assert rc == 2
+        assert f"parameter {name!r} has shape ({size},)" in capsys.readouterr().err
+
     def test_eval_rejects_mismatched_stats(self, tiny_corpus_file, tmp_path, capsys):
         args = ["train", "--corpus", tiny_corpus_file]
         for key, val in TINY:
@@ -301,7 +319,9 @@ class TestCommands:
         assert rc == 2
         assert "test split is empty" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("doc", ['{"vocab_size": 20}', "[1, 2]"])
+    @pytest.mark.parametrize(
+        "doc", ['{"vocab_size": 20}', "[1, 2]", pytest.param(UNKNOWN_KEY_SPEC, id="unknown-key")]
+    )
     def test_eval_rejects_malformed_spec(self, untrained, tiny_corpus, tmp_path, capsys, doc):
         corpus = tmp_path / "c.tsv"
         save_corpus(tiny_corpus, corpus)
@@ -338,3 +358,25 @@ class TestCommands:
         rc = main(args + ["--train.steps", "10"])
         assert rc == 3
         assert "non-finite" in capsys.readouterr().err
+
+    def test_train_divergence_keeps_logged_rows(self, tiny_corpus_file, tmp_path, monkeypatch):
+        import prosody_ddpm.numerics as nm
+        import prosody_ddpm.training as training
+
+        real = training.diffusion.training_loss_graph
+        steps = []
+
+        def non_finite_at_step_5(*args, **kwargs):
+            steps.append(len(steps) + 1)
+            if steps[-1] == 5:
+                raise nm.NonFiniteError("loss")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(training.diffusion, "training_loss_graph", non_finite_at_step_5)
+        out = tmp_path / "d"
+        args = ["train", "--corpus", tiny_corpus_file, "--model", "ddpm", "--out", str(out)]
+        for key, val in TINY:
+            args += [f"--{key}", val]
+        assert main(args + ["--train.steps", "10", "--train.log_every", "2"]) == 3
+        rows = (out / "loss_log.tsv").read_text().splitlines()
+        assert [int(row.split("\t")[0]) for row in rows] == [2, 4]

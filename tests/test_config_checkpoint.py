@@ -1,6 +1,7 @@
 """Config parsing/validation and binary checkpoint round trips."""
 
 import errno
+import re
 import struct
 
 import numpy as np
@@ -235,6 +236,20 @@ class TestCheckpoint:
         assert path.read_bytes() == before
         assert load_checkpoint(path).step == 7
         assert sorted(p.name for p in tmp_path.iterdir()) == ["keep.bin"]
+
+    def test_non_finite_blob_rejected_naming_file_and_parameter(self, tmp_path):
+        path = tmp_path / "nan.bin"
+        ck = _dummy_checkpoint()
+        ck.params["in.w"] = Tensor(np.full((3, 5), np.nan), _checked_op=None)
+        save_checkpoint(ck, path)
+        message = f"{path}: non-finite values in parameter 'in.w'"
+        with pytest.raises(CheckpointError, match=re.escape(message)):
+            load_checkpoint(path)
+        ck = _dummy_checkpoint()
+        ck.opt_v["scalar"] = np.array(np.inf)
+        save_checkpoint(ck, path)
+        with pytest.raises(CheckpointError, match="non-finite values in second moment of 'scalar'"):
+            load_checkpoint(path)
 
     def test_unknown_kind_rejected_on_save(self, tmp_path):
         ck = _dummy_checkpoint()

@@ -299,9 +299,11 @@ class TestCorpusFile:
 
     def test_nonpositive_pitch_rejected_with_utterance(self, tmp_path):
         path = tmp_path / "bad.tsv"
-        path.write_text("uttX\t0 1\t-5.0 120.0\t1.0 1.0\t3 4\n")
-        with pytest.raises(CorpusError, match="uttX"):
-            load_corpus(path)
+        # Non-finite pitch or energy is rejected the same way.
+        for pitch, energy in [("-5.0", "1.0"), ("nan", "1.0"), ("inf", "1.0"), ("100.0", "nan")]:
+            path.write_text(f"uttX\t0 1\t{pitch} 120.0\t{energy} 1.0\t3 4\n")
+            with pytest.raises(CorpusError, match=r"line 1 \(uttX\)"):
+                load_corpus(path)
 
     def test_malformed_line_number(self, tmp_path):
         path = tmp_path / "bad.tsv"
@@ -317,9 +319,11 @@ class TestCorpusFile:
 
     def test_duration_below_one_rejected(self, tmp_path):
         path = tmp_path / "bad.tsv"
-        path.write_text("u0\t0\t100.0\t1.0\t0\n")
-        with pytest.raises(CorpusError, match="line 1"):
-            load_corpus(path)
+        # So is a duration above MAX_FRAMES, which would overflow int64.
+        for duration in ("0", "1e300", str(MAX_FRAMES * 2)):
+            path.write_text(f"u0\t0\t100.0\t1.0\t{duration}\n")
+            with pytest.raises(CorpusError, match=r"line 1 \(u0\)"):
+                load_corpus(path)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=20, deadline=None)
@@ -340,6 +344,9 @@ class TestInvariants:
             ProsodySequence(pitch=[0.0], energy=[1.0], duration=[2])
         with pytest.raises(ValueError, match="energy"):
             ProsodySequence(pitch=[100.0], energy=[-0.1], duration=[2])
+        for pitch, energy in [(np.nan, 1.0), (np.inf, 1.0), (100.0, np.nan), (100.0, np.inf)]:
+            with pytest.raises(ValueError, match="finite"):
+                ProsodySequence(pitch=[pitch], energy=[energy], duration=[2])
         with pytest.raises(ValueError, match="duration"):
             ProsodySequence(pitch=[100.0], energy=[0.1], duration=[0])
         with pytest.raises(ValueError, match="length"):

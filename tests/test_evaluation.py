@@ -169,7 +169,7 @@ def _replay_predictor(corpus, calls=None):
             calls.append((tokens.ids, rng, n))
         return [lookup[tokens.ids]] * n
 
-    return Predictor(name="replay", stochastic=False, fn=fn)
+    return Predictor(name="replay", fn=fn)
 
 
 class TestEvaluatePredictor:
@@ -178,9 +178,12 @@ class TestEvaluatePredictor:
         ref = build_reference(corpus, bins=32)
         calls = []
         sysev = evaluate_predictor(_replay_predictor(corpus, calls), corpus, 0, 4, ref)
-        # Deterministic: one call per test utterance, one draw, no stream.
-        assert calls == [(u.tokens.ids, None, 1) for u in corpus.subset("test")]
-        assert sysev.n_sequences == len(corpus.subset("test"))
+        # One call per test utterance, with that utterance's stream and n.
+        test = corpus.subset("test")
+        assert [(ids, rng.seed, n) for ids, rng, n in calls] == [
+            (u.tokens.ids, (0, i), 4) for i, u in enumerate(test)
+        ]
+        assert sysev.n_sequences == 4 * len(test)
         for dim in ("pitch", "energy", "log_duration"):
             assert sysev.pooled_js[dim] == 0.0
         for row in sysev.per_class_js.values():
@@ -216,7 +219,7 @@ class TestEvaluatePredictor:
                 for _ in range(n)
             ]
 
-        pred = Predictor(name="noisy", stochastic=True, fn=fn)
+        pred = Predictor(name="noisy", fn=fn)
         a = evaluate_predictor(pred, corpus, 7, 3, ref)
         assert calls == [3] * len(corpus.subset("test"))
         b = evaluate_predictor(pred, corpus, 7, 3, ref)

@@ -78,8 +78,8 @@ def golden_report():
         ]
 
     predictors = [
-        Predictor(name="replay", stochastic=False, fn=replay),
-        Predictor(name="noisy", stochastic=True, fn=noisy),
+        Predictor(name="replay", fn=replay),
+        Predictor(name="noisy", fn=noisy),
     ]
     return build_report(
         corpus,
