@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nm
-from .numerics import Gradients, Rng, Tape, Tensor
+from .numerics import Rng, Tensor
 
 HEADS = ("pitch", "energy", "log_duration")
 
@@ -83,16 +83,3 @@ def baseline_loss_graph(
 ) -> Tensor:
     """Mean squared error over unmasked elements, recorded on the active tape."""
     return nm.masked_mse(model.forward(cond, rng, training), target, mask, "baseline_loss")
-
-
-def baseline_train_step(
-    model: BaselineNet,
-    cond: Tensor,
-    target: np.ndarray,
-    mask: np.ndarray | None = None,
-    rng: Rng | None = None,
-) -> tuple[float, Gradients]:
-    """Loss plus gradients for all baseline parameters."""
-    with Tape() as tape:
-        loss = baseline_loss_graph(model, cond, target, mask, rng, training=True)
-    return loss.item(), nm.backward(tape, loss)

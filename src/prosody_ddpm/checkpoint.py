@@ -156,6 +156,11 @@ def load_checkpoint(path) -> Checkpoint:
     rng_seed_json = r.s()
     rng_state_json = r.s()
     stats = NormStats(r.f64(3), r.f64(3))
+    if not (np.all(np.isfinite(stats.mean)) and np.all(np.isfinite(stats.std) & (stats.std > 0))):
+        raise CheckpointError(
+            f"{path}: normalization statistics need finite means and finite positive stds,"
+            f" got mean {stats.mean.tolist()} and std {stats.std.tolist()}"
+        )
 
     def finite(what: str, name: str) -> np.ndarray:
         arr = _read_array(r)
@@ -196,7 +201,3 @@ def load_checkpoint(path) -> Checkpoint:
 
 def rng_state_to_json(state: dict) -> str:
     return json.dumps(state, sort_keys=True)
-
-
-def rng_state_from_json(text: str) -> dict:
-    return json.loads(text)

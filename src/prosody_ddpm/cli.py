@@ -13,8 +13,16 @@ import os
 import sys
 import time
 
-from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .config import Config, ConfigError, canonical_text, config_hash, default_config, load_config
+from .checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
+from .config import (
+    Config,
+    ConfigError,
+    canonical_text,
+    config_hash,
+    default_config,
+    load_config,
+    parse_config,
+)
 from .data import (
     Corpus,
     CorpusError,
@@ -139,10 +147,7 @@ def cmd_sample(args, extra: list[str]) -> int:
         raise ConfigError(f"tokens must be space-separated integers, got {args.tokens!r}") from None
     if not ids:
         raise ConfigError("empty token sequence")
-    vocab = ck.config.data.vocab_size
-    bad = [i for i in ids if i < 0 or i >= vocab]
-    if bad:
-        raise ConfigError(f"unknown token id {bad[0]} for vocabulary of size {vocab}")
+    # An id outside the vocabulary fails in the condition encoder, before any chain step.
     tokens = TokenSequence(ids)
     sequences = predictor_from_checkpoint(ck).fn(tokens, Rng(args.seed), args.n)
     utterances = [
@@ -154,8 +159,21 @@ def cmd_sample(args, extra: list[str]) -> int:
     return 0
 
 
-def cmd_eval(args, extra: list[str]) -> int:
+def _eval_setup(ck: Checkpoint, corpus_path: str, extra: list[str]) -> tuple[Config, Corpus]:
+    """The checkpoint's config with the ``--eval.*`` overrides in ``extra``
+    applied, and the corpus at ``corpus_path`` split as that config says."""
     overrides = _parse_overrides(extra)
+    for dotted, _ in overrides:
+        if not dotted.startswith("eval."):
+            raise ConfigError(f"only eval.* overrides apply here, got --{dotted}")
+    config = parse_config(canonical_text(ck.config), overrides)
+    corpus = assign_splits(
+        load_corpus(corpus_path), config.data.split_seed, config.data.holdout_fraction
+    )
+    return config, corpus
+
+
+def cmd_eval(args, extra: list[str]) -> int:
     ck_d = load_checkpoint(args.ddpm)
     ck_b = load_checkpoint(args.baseline)
     if ck_d.kind != "ddpm":
@@ -166,18 +184,7 @@ def cmd_eval(args, extra: list[str]) -> int:
         raise ConfigError(
             "checkpoints carry different normalization statistics; their metrics are not comparable"
         )
-    config = ck_d.config
-    for dotted, value in overrides:
-        if not dotted.startswith("eval."):
-            raise ConfigError(f"only eval.* overrides apply here, got --{dotted}")
-    if overrides:
-        from .config import parse_config
-
-        config = parse_config(canonical_text(config), overrides)
-
-    corpus = assign_splits(
-        load_corpus(args.corpus), config.data.split_seed, config.data.holdout_fraction
-    )
+    config, corpus = _eval_setup(ck_d, args.corpus, extra)
     spec = None
     spec_path = args.corpus + ".spec.json"
     if os.path.exists(spec_path):
@@ -210,15 +217,11 @@ def cmd_eval(args, extra: list[str]) -> int:
 
 
 def cmd_rtf(args, extra: list[str]) -> int:
-    if extra:
-        raise ConfigError(f"unexpected arguments: {extra}")
     ck = load_checkpoint(args.checkpoint)
-    corpus = assign_splits(
-        load_corpus(args.corpus), ck.config.data.split_seed, ck.config.data.holdout_fraction
+    config, corpus = _eval_setup(ck, args.corpus, extra)
+    result = measure_rtf(
+        predictor_from_checkpoint(ck), corpus, config.eval.frame_rate, seed=config.eval.seed
     )
-    predictor = predictor_from_checkpoint(ck)
-    frame_rate = ck.config.eval.frame_rate if args.frame_rate is None else args.frame_rate
-    result = measure_rtf(predictor, corpus, frame_rate, seed=ck.config.eval.seed)
     print(f"model: {ck.kind}")
     print(f"rtf: {result.rtf:.6f}")
     print(f"seconds_per_utterance: {result.seconds_per_utterance:.6f}")
@@ -269,9 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rtf", help="measure the real-time factor of a checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--corpus", required=True)
-    p.add_argument(
-        "--frame-rate", type=float, default=None, help="default: the checkpoint's eval.frame_rate"
-    )
     p.set_defaults(fn=cmd_rtf)
     return parser
 

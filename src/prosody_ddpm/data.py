@@ -157,24 +157,20 @@ class NormStats:
         if self.mean.shape != (3,) or self.std.shape != (3,):
             raise ValueError("stats must be per-dimension vectors of length 3")
 
-    @staticmethod
-    def identity() -> "NormStats":
-        return NormStats(np.zeros(3), np.ones(3))
-
     def equals(self, other: "NormStats") -> bool:
         return np.array_equal(self.mean, other.mean) and np.array_equal(self.std, other.std)
 
 
-def compute_norm_stats(corpus: Corpus, split: str = "train") -> NormStats:
-    """Mean/std of each feature over the given split; zero spread is an error."""
-    rows = [u.prosody.features() for u in corpus.subset(split)]
+def compute_norm_stats(corpus: Corpus) -> NormStats:
+    """Mean/std of each feature over the train split; zero spread is an error."""
+    rows = [u.prosody.features() for u in corpus.subset("train")]
     pooled = np.concatenate(rows, axis=0)
     mean = pooled.mean(axis=0)
     std = pooled.std(axis=0)
     for d, m, s in zip(DIM_NAMES, mean, std):
         # constant columns leave only rounding residue after centering
         if s < 1e-12 * max(1.0, abs(m)):
-            raise ValueError(f"{d}: zero variance in {split} split, cannot normalize")
+            raise ValueError(f"{d}: zero variance in train split, cannot normalize")
     return NormStats(mean, std)
 
 
@@ -275,8 +271,6 @@ def load_corpus(path) -> Corpus:
                 )
             except ValueError as e:
                 raise CorpusError(f"line {lineno} ({utt_id}): {e}") from None
-    if not utterances:
-        raise CorpusError("no utterances")
     return Corpus(utterances)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics as nm
-from .numerics import Gradients, Rng, Tape, Tensor
+from .numerics import Rng, Tensor
 
 
 @dataclass(frozen=True)
@@ -135,21 +135,6 @@ def training_loss_graph(
     return nm.masked_mse(eps_hat, eps, mask, "training_loss")
 
 
-def training_loss(
-    model,
-    x0: np.ndarray,
-    cond: Tensor,
-    t,
-    eps: np.ndarray,
-    sched: NoiseSchedule,
-    mask: np.ndarray | None = None,
-) -> tuple[float, Gradients]:
-    """Loss value plus gradients for every parameter of ``model``."""
-    with Tape() as tape:
-        loss = training_loss_graph(model, x0, cond, t, eps, sched, mask)
-    return loss.item(), nm.backward(tape, loss)
-
-
 def reverse_step(
     model,
     x_t: np.ndarray,
@@ -176,14 +161,8 @@ def reverse_step(
     return mu + sched.sigma[t] * np.asarray(z)
 
 
-def sample_model_space(
-    model,
-    cond: Tensor,
-    sched: NoiseSchedule,
-    rng: Rng,
-    features: int = 3,
-) -> np.ndarray:
-    """Run the full reverse chain; returns model-space features.
+def sample_model_space(model, cond: Tensor, sched: NoiseSchedule, rng: Rng) -> np.ndarray:
+    """Run the full reverse chain; returns model-space features ``(..., 3)``.
 
     ``cond`` may be ``(length, cond_dim)`` for a single chain or
     ``(batch, length, cond_dim)`` to run independent chains of the same
@@ -191,7 +170,7 @@ def sample_model_space(
     condition projections and the step features of every ``t`` are
     computed once, before the first step.
     """
-    shape = cond.shape[:-1] + (features,)
+    shape = cond.shape[:-1] + (3,)
     constants = model.condition(cond)
     step_features = model.steps(np.arange(1, sched.steps + 1)).data
     x = rng.normal(shape)

@@ -178,17 +178,21 @@ def build_reference(corpus: Corpus, bins: int) -> Reference:
     return Reference(binnings, hist, class_hist, tuple(int(c) for c in np.unique(all_ids)))
 
 
-def _draws(predictor: Predictor, corpus: Corpus, seed: int, n: int):
+def _draws(predictor: Predictor, corpus: Corpus, seed: int, n: int, repeats: int = 1):
     """``(utterance, draws, seconds)`` per test utterance, timing only ``fn``.
 
     Every predictor draws ``n`` sequences from ``Rng((seed, index))``, so
-    results do not depend on evaluation order.
+    results do not depend on evaluation order.  Each of ``repeats`` calls
+    starts a fresh copy of that stream; ``seconds`` is their median.
     """
     for ui, utt in enumerate(_test_split(corpus)):
-        rng = Rng((seed, ui))
-        t0 = time.perf_counter()
-        out = predictor.fn(utt.tokens, rng, n)
-        yield utt, out, time.perf_counter() - t0
+        seconds = []
+        for _ in range(repeats):
+            rng = Rng((seed, ui))
+            t0 = time.perf_counter()
+            out = predictor.fn(utt.tokens, rng, n)
+            seconds.append(time.perf_counter() - t0)
+        yield utt, out, float(np.median(seconds))
 
 
 @dataclass
@@ -392,6 +396,10 @@ def write_histograms(report: EvalReport, directory) -> list[str]:
 # --------------------------------------------------------------------------
 
 
+# A baseline draw takes about a millisecond, so one timed call is at the mercy of host load.
+RTF_REPEATS = 5
+
+
 @dataclass(frozen=True)
 class RtfResult:
     """Real-time factor: prediction seconds per second of implied audio."""
@@ -411,16 +419,16 @@ def measure_rtf(
     """Wall-clock prediction time over implied audio time, averaged over
     the test split.
 
-    Each test utterance gets one draw through the loop
-    :func:`evaluate_predictor` uses (same per-utterance streams), and
-    only the predictor call is timed.  Audio time comes from ground-truth
-    durations at the assumed frame rate.
+    Each test utterance's draw runs ``RTF_REPEATS`` times through the loop
+    :func:`evaluate_predictor` uses, from the same per-utterance stream,
+    and the median time of the predictor call counts.  Audio time comes
+    from ground-truth durations at the assumed frame rate.
     """
     if frame_rate <= 0.0:
         raise ValueError(f"frame_rate must be positive, got {frame_rate}")
     timed = [
         (dt, utt.prosody.duration.sum() / frame_rate)
-        for utt, _, dt in _draws(predictor, corpus, seed, 1)
+        for utt, _, dt in _draws(predictor, corpus, seed, 1, RTF_REPEATS)
     ]
     secs, audio = (np.array(col, dtype=np.float64) for col in zip(*timed))
     return RtfResult(

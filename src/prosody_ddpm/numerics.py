@@ -127,15 +127,12 @@ class Tape:
     def __exit__(self, exc_type, exc, tb) -> None:
         _tls.tape = None
 
-    def _record(self, op: str, out: Tensor, backward_fn: _BackwardFn) -> None:
-        self.records.append((op, out, backward_fn))
-
 
 def _emit(op: str, out_data: np.ndarray, backward_fn: _BackwardFn) -> Tensor:
     out = Tensor(_checked(op, out_data), _checked_op=None)
     tape = _active_tape()
     if tape is not None:
-        tape._record(op, out, backward_fn)
+        tape.records.append((op, out, backward_fn))
     return out
 
 
@@ -154,9 +151,6 @@ class Gradients:
         if entry is None:
             return np.zeros_like(t.data)
         return entry[1]
-
-    def __contains__(self, t: Tensor) -> bool:
-        return id(t) in self._accum
 
 
 def backward(tape: Tape, loss: Tensor) -> Gradients:
@@ -537,11 +531,6 @@ class Rng:
 
     def set_state(self, state: dict) -> None:
         self._gen.bit_generator.state = state
-
-
-def gaussian(rng: Rng, shape: Sequence[int] | int = ()) -> Tensor:
-    """I.i.d. standard normal samples as a leaf tensor."""
-    return Tensor(rng.normal(shape), _checked_op=None)
 
 
 # --------------------------------------------------------------------------

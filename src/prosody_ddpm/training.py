@@ -12,13 +12,13 @@ checkpoint finishes bit-identically to an uninterrupted one.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import diffusion, numerics as nm
 from .baseline import BaselineConfig, BaselineNet, baseline_loss_graph
-from .checkpoint import Checkpoint, load_checkpoint, rng_state_from_json, rng_state_to_json
+from .checkpoint import Checkpoint, load_checkpoint, rng_state_to_json
 from .config import Config, ConfigError, canonical_text
 from .data import Corpus, NormStats, assign_splits, compute_norm_stats, normalize
 from .denoiser import ConditionEncoder, ConditionEncoderConfig, Denoiser, DenoiserConfig
@@ -31,37 +31,6 @@ class TrainingDiverged(RuntimeError):
     def __init__(self, step: int):
         super().__init__(f"training loss became non-finite at step {step}; last checkpoint kept")
         self.step = step
-
-
-def denoiser_config(config: Config) -> DenoiserConfig:
-    d = config.denoiser
-    return DenoiserConfig(
-        channels=d.channels,
-        layers=d.layers,
-        kernel_size=d.kernel_size,
-        dilation_cycle=tuple(d.dilation_cycle),
-        cond_dim=d.cond_dim,
-        step_hidden=d.step_hidden,
-    )
-
-
-def condition_config(config: Config) -> ConditionEncoderConfig:
-    return ConditionEncoderConfig(
-        vocab_size=config.data.vocab_size,
-        embed_dim=config.condition.embed_dim,
-        hidden=config.condition.hidden,
-        cond_dim=config.denoiser.cond_dim,
-    )
-
-
-def baseline_config(config: Config) -> BaselineConfig:
-    b = config.baseline
-    return BaselineConfig(
-        cond_dim=config.denoiser.cond_dim,
-        width=b.width,
-        kernel_size=b.kernel_size,
-        dropout=b.dropout,
-    )
 
 
 def schedule_from_config(config: Config) -> NoiseSchedule:
@@ -87,11 +56,16 @@ class TrainableModel:
 
 
 def init_model(config: Config, kind: str, rng: Rng) -> TrainableModel:
-    cond = ConditionEncoder.init(condition_config(config), rng)
+    # The network configs share their field names with the config sections.
+    cond_dim = config.denoiser.cond_dim
+    c = config.condition
+    cond = ConditionEncoder.init(
+        ConditionEncoderConfig(config.data.vocab_size, c.embed_dim, c.hidden, cond_dim), rng
+    )
     if kind == "ddpm":
-        net = Denoiser.init(denoiser_config(config), rng)
+        net = Denoiser.init(DenoiserConfig(**asdict(config.denoiser)), rng)
     elif kind == "baseline":
-        net = BaselineNet.init(baseline_config(config), rng)
+        net = BaselineNet.init(BaselineConfig(cond_dim, **asdict(config.baseline)), rng)
     else:
         raise ValueError(f"unknown model kind {kind!r}")
     return TrainableModel(kind=kind, cond=cond, net=net)
@@ -152,30 +126,22 @@ def _assemble_batch(prep: PreparedCorpus, idxs: np.ndarray):
     return ids, x0, mask
 
 
-@dataclass
-class TrainState:
-    model: TrainableModel
-    optimizer: Adam
-    rng: Rng
-    step: int
-
-
-def make_checkpoint(config: Config, state: TrainState, stats: NormStats, seed) -> Checkpoint:
-    opt = state.optimizer
-    params = state.model.params
+def make_checkpoint(
+    config: Config, model: TrainableModel, optimizer: Adam, rng: Rng, step: int, stats: NormStats
+) -> Checkpoint:
     return Checkpoint(
-        kind=state.model.kind,
+        kind=model.kind,
         config=config,
-        step=state.step,
-        params=params,
+        step=step,
+        params=model.params,
         stats=stats,
-        rng_algorithm=state.rng.algorithm,
-        rng_seed_json=json.dumps(seed),
-        rng_state_json=rng_state_to_json(state.rng.state()),
-        opt_t=opt.t,
+        rng_algorithm=rng.algorithm,
+        rng_seed_json=json.dumps(config.train.seed),
+        rng_state_json=rng_state_to_json(rng.state()),
+        opt_t=optimizer.t,
         # Moment buffers are updated in place by Adam; snapshot copies.
-        opt_m={k: v.copy() for k, v in opt.m.items()},
-        opt_v={k: v.copy() for k, v in opt.v.items()},
+        opt_m={k: v.copy() for k, v in optimizer.m.items()},
+        opt_v={k: v.copy() for k, v in optimizer.v.items()},
     )
 
 
@@ -210,7 +176,7 @@ def train_model(
             raise ConfigError("checkpoint normalization statistics do not match the corpus")
         model = model_from_checkpoint(resume)
         rng = Rng(config.train.seed)
-        rng.set_state(rng_state_from_json(resume.rng_state_json))
+        rng.set_state(json.loads(resume.rng_state_json))
         optimizer.load_state(
             resume.opt_t, [(k, resume.opt_m[k], resume.opt_v[k]) for k in resume.opt_m]
         )
@@ -227,43 +193,39 @@ def train_model(
         if config.condition.freeze:
             frozen = frozenset(model.cond.params)
 
-    state = TrainState(model=model, optimizer=optimizer, rng=rng, step=start_step)
     log: list[tuple[int, float]] = []
     batch = opt_cfg.batch_size
     n_train = len(prep.token_ids)
 
-    for step in range(start_step, total_steps):
-        idxs = state.rng.integers(0, n_train, batch)
+    step = start_step
+    while step < total_steps:
+        idxs = rng.integers(0, n_train, batch)
         ids, x0, mask = _assemble_batch(prep, idxs)
         m3 = Tensor(mask[..., None])
+        # Primitives check their outputs: a non-finite loss or gradient raises here.
         try:
             with Tape() as tape:
                 cvec = nm.mul(model.cond.forward(ids), m3)
                 if kind == "ddpm":
-                    t = state.rng.integers(1, sched.steps + 1, batch)
-                    eps = state.rng.normal(x0.shape)
+                    t = rng.integers(1, sched.steps + 1, batch)
+                    eps = rng.normal(x0.shape)
                     loss = diffusion.training_loss_graph(model.net, x0, cvec, t, eps, sched, mask)
                 else:
-                    loss = baseline_loss_graph(
-                        model.net, cvec, x0, mask, rng=state.rng, training=True
-                    )
-            loss_value = loss.item()
-            if not np.isfinite(loss_value):
-                raise nm.NonFiniteError("loss")
+                    loss = baseline_loss_graph(model.net, cvec, x0, mask, rng=rng, training=True)
             grads = nm.backward(tape, loss)
         except nm.NonFiniteError as e:
             raise TrainingDiverged(step + 1) from e
         model.replace_params(optimizer.step(model.params, grads, frozen))
-        state.step = step + 1
-        if state.step % config.train.log_every == 0 or state.step == total_steps:
-            log.append((state.step, loss_value))
+        step += 1
+        if step % config.train.log_every == 0 or step == total_steps:
+            log.append((step, loss.item()))
             if on_log is not None:
-                on_log(state.step, loss_value)
+                on_log(*log[-1])
         every = config.train.checkpoint_every
-        if on_checkpoint is not None and every and state.step % every == 0 and state.step < total_steps:
-            on_checkpoint(make_checkpoint(config, state, prep.stats, config.train.seed))
+        if on_checkpoint is not None and every and step % every == 0 and step < total_steps:
+            on_checkpoint(make_checkpoint(config, model, optimizer, rng, step, prep.stats))
 
-    final = make_checkpoint(config, state, prep.stats, config.train.seed)
+    final = make_checkpoint(config, model, optimizer, rng, step, prep.stats)
     if on_checkpoint is not None:
         on_checkpoint(final)
     return final, log

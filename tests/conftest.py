@@ -47,6 +47,13 @@ def fd_check(make_loss, tensors: dict[str, nm.Tensor], probes_per_tensor: int = 
     assert not failures, f"gradient mismatches: {failures[:5]}"
 
 
+def loss_and_grads(make_loss):
+    """Value and gradients of the scalar loss ``make_loss()`` records on a fresh tape."""
+    with nm.Tape() as tape:
+        loss = make_loss()
+    return loss.item(), nm.backward(tape, loss)
+
+
 def pytest_collection_modifyitems(items):
     # Tests that use the acceptance suite's session ``bench`` fixture wait
     # for its training run (about five minutes); ``-m "not slow"`` skips them.

@@ -9,12 +9,11 @@ from prosody_ddpm.baseline import (
     BaselineNet,
     baseline_loss_graph,
     baseline_predict,
-    baseline_train_step,
 )
 from prosody_ddpm.numerics import Rng, Tensor
 from prosody_ddpm.optim import Adam
 
-from conftest import fd_check, jitter_params
+from conftest import fd_check, jitter_params, loss_and_grads
 
 SMALL = BaselineConfig(cond_dim=6, width=12, kernel_size=3, dropout=0.5)
 
@@ -40,7 +39,7 @@ class TestLoss:
         net = BaselineNet.init(cfg, rng)
         c = Tensor(rng.normal((5, 6)))
         target = baseline_predict(net, c)
-        loss, _ = baseline_train_step(net, c, target)
+        loss, _ = loss_and_grads(lambda: baseline_loss_graph(net, c, target))
         assert loss == pytest.approx(0.0, abs=1e-24)
 
     def test_unit_error_loss(self, rng):
@@ -48,13 +47,13 @@ class TestLoss:
         net = BaselineNet.init(SMALL, rng)
         net.params = {k: nm.zeros(p.shape) for k, p in net.params.items()}
         c = Tensor(rng.normal((9, 6)))
-        loss, _ = baseline_train_step(net, c, np.ones((9, 3)), rng=rng)
+        loss, _ = loss_and_grads(lambda: baseline_loss_graph(net, c, np.ones((9, 3)), rng=rng))
         assert loss == pytest.approx(1.0, abs=1e-12)
 
     def test_all_masked_rejected(self, rng):
         net = BaselineNet.init(SMALL, rng)
         with pytest.raises(ValueError, match="mask"):
-            baseline_train_step(net, Tensor(rng.normal((4, 6))), np.zeros((4, 3)),
+            baseline_loss_graph(net, Tensor(rng.normal((4, 6))), np.zeros((4, 3)),
                                 mask=np.zeros(4), rng=rng)
 
     def test_masked_positions_excluded(self, rng):
@@ -63,10 +62,10 @@ class TestLoss:
         c = Tensor(rng.normal((6, 6)))
         target = rng.normal((6, 3))
         mask = np.array([1, 1, 1, 1, 0, 0], dtype=float)
-        loss1, _ = baseline_train_step(net, c, target, mask=mask)
+        loss1, _ = loss_and_grads(lambda: baseline_loss_graph(net, c, target, mask=mask))
         junk = target.copy()
         junk[4:] = 1e3
-        loss2, _ = baseline_train_step(net, c, junk, mask=mask)
+        loss2, _ = loss_and_grads(lambda: baseline_loss_graph(net, c, junk, mask=mask))
         assert loss1 == pytest.approx(loss2, rel=1e-12)
 
     def test_gradients_match_finite_differences(self, rng):
@@ -128,7 +127,9 @@ class TestMeanCollapse:
         for _ in range(600):
             signs = np.where(rng.uniform((8, 1)) < 0.5, -1.0, 1.0)
             target = np.concatenate([signs * m, rng.normal((8, 2)) * 0.05], axis=1)
-            loss, grads = baseline_train_step(net, Tensor(c_data), target, rng=rng)
+            loss, grads = loss_and_grads(
+                lambda: baseline_loss_graph(net, Tensor(c_data), target, rng=rng)
+            )
             net.params = opt.step(net.params, grads)
         pred = baseline_predict(net, Tensor(c_data))
         assert np.abs(pred[:, 0]).max() < 0.1 * m, pred[:, 0]

@@ -258,17 +258,22 @@ class TestCommands:
         assert (ev1 / "hist_pitch.tsv").exists()
         capsys.readouterr()
 
-        # rtf prints figures; the frame rate defaults to the checkpoint's
-        # eval.frame_rate (40 here) and an explicit flag overrides it
+        # rtf prints figures; the frame rate is the checkpoint's
+        # eval.frame_rate (40 here) unless --eval.frame_rate overrides it
+        rtf = ["rtf", "--checkpoint", ck_b, "--corpus", tiny_corpus_file]
+
         def audio_seconds(*flags):
-            assert main(["rtf", "--checkpoint", ck_b, "--corpus", tiny_corpus_file, *flags]) == 0
+            assert main(rtf + list(flags)) == 0
             out = capsys.readouterr().out
             assert "rtf:" in out and "seconds_per_utterance:" in out
             return float(out.split("audio_seconds_per_utterance:")[1].split()[0])
 
         at_40 = audio_seconds()
-        assert at_40 == pytest.approx(2.0 * audio_seconds("--frame-rate", "80"), abs=2e-6)
-        assert at_40 == pytest.approx(audio_seconds("--frame-rate", "40"), abs=0.0)
+        assert at_40 == pytest.approx(2.0 * audio_seconds("--eval.frame_rate", "80"), abs=2e-6)
+        assert at_40 == pytest.approx(audio_seconds("--eval.frame_rate", "40"), abs=0.0)
+        # like eval, rtf takes eval.* overrides only
+        assert main(rtf + ["--train.steps", "5"]) == 2
+        assert "only eval.* overrides apply here, got --train.steps" in capsys.readouterr().err
 
     @pytest.mark.parametrize("n", ["0", "-1"])
     def test_sample_rejects_count_below_one(self, n, tmp_path, capsys):

@@ -251,6 +251,25 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="non-finite values in second moment of 'scalar'"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "mean, std",
+        [
+            ([1.0, 2.0, 3.0], [4.0, np.nan, 6.0]),
+            ([1.0, 2.0, 3.0], [4.0, 5.0, np.inf]),
+            ([1.0, 2.0, 3.0], [0.0, 5.0, 6.0]),
+            ([1.0, 2.0, 3.0], [4.0, -1.0, 6.0]),
+            ([np.nan, 2.0, 3.0], [4.0, 5.0, 6.0]),
+        ],
+        ids=["nan-std", "inf-std", "zero-std", "negative-std", "nan-mean"],
+    )
+    def test_invalid_norm_stats_rejected_naming_file(self, mean, std, tmp_path):
+        path = tmp_path / "stats.bin"
+        ck = _dummy_checkpoint()
+        ck.stats = NormStats(np.array(mean), np.array(std))
+        save_checkpoint(ck, path)
+        with pytest.raises(CheckpointError, match=re.escape(f"{path}: normalization statistics")):
+            load_checkpoint(path)
+
     def test_unknown_kind_rejected_on_save(self, tmp_path):
         ck = _dummy_checkpoint()
         ck.kind = "mystery"

@@ -221,7 +221,7 @@ class TestNormalization:
         np.testing.assert_array_equal(ps.log_duration, np.log([3.0, 7.0]))
 
     def test_duration_rounding_half_up_floor_one(self):
-        stats = NormStats.identity()
+        stats = NormStats(np.zeros(3), np.ones(3))
         x = np.array([[100.0, 1.0, np.log(2.5)], [100.0, 1.0, np.log(0.2)]])
         ps = denormalize(x, stats)
         assert ps.duration.tolist() == [3, 1]
@@ -230,7 +230,7 @@ class TestNormalization:
         # exp(1000) overflows float64; the frame count must saturate at the
         # ceiling (not wrap to the 1-frame floor) without a RuntimeWarning.
         x = np.array([[100.0, 1.0, 1000.0], [100.0, 1.0, 40.0], [100.0, 1.0, 36.0]])
-        ps = denormalize(x, NormStats.identity())
+        ps = denormalize(x, NormStats(np.zeros(3), np.ones(3)))
         assert ps.duration.tolist() == [MAX_FRAMES, MAX_FRAMES, int(np.floor(np.exp(36.0) + 0.5))]
         assert float(MAX_FRAMES) == MAX_FRAMES
 

@@ -14,13 +14,12 @@ from prosody_ddpm.diffusion import (
     posterior_mean,
     reverse_step,
     sample_model_space,
-    training_loss,
     training_loss_graph,
 )
 from prosody_ddpm.numerics import Rng, Tape, Tensor
 from prosody_ddpm.optim import Adam
 
-from conftest import fd_check
+from conftest import fd_check, loss_and_grads
 
 
 class StubModel:
@@ -220,7 +219,9 @@ class TestTrainingLoss:
         x0 = rng.normal((6, 3))
         eps = rng.normal((6, 3))
         model = StubModel(lambda x, c, t: Tensor(eps))
-        loss, grads = training_loss(model, x0, Tensor(np.zeros((6, 2))), 11, eps, self.sched)
+        loss, grads = loss_and_grads(
+            lambda: training_loss_graph(model, x0, Tensor(np.zeros((6, 2))), 11, eps, self.sched)
+        )
         assert loss == 0.0
         np.testing.assert_array_equal(grads.wrt(model.params["unused"]), np.zeros(3))
 
@@ -231,8 +232,10 @@ class TestTrainingLoss:
         losses = []
         for _ in range(60):
             eps = r.normal((40, 3))
-            loss, _ = training_loss(
-                model, np.zeros((40, 3)), Tensor(np.zeros((40, 2))), 20, eps, self.sched
+            loss, _ = loss_and_grads(
+                lambda: training_loss_graph(
+                    model, np.zeros((40, 3)), Tensor(np.zeros((40, 2))), 20, eps, self.sched
+                )
             )
             losses.append(loss)
         assert np.mean(losses) == pytest.approx(1.0, abs=0.05)
@@ -240,8 +243,8 @@ class TestTrainingLoss:
     def test_condition_length_mismatch(self, rng):
         model = StubModel(lambda x, c, t: Tensor(np.zeros(x.shape)))
         with pytest.raises(nm.ShapeError, match="token axes"):
-            training_loss(model, rng.normal((6, 3)), Tensor(np.zeros((5, 2))), 3,
-                          rng.normal((6, 3)), self.sched)
+            training_loss_graph(model, rng.normal((6, 3)), Tensor(np.zeros((5, 2))), 3,
+                                rng.normal((6, 3)), self.sched)
 
     def test_masked_positions_do_not_affect_loss(self, rng):
         cfg = DenoiserConfig(channels=8, layers=2, dilation_cycle=(1,), cond_dim=4, step_hidden=8)
@@ -251,19 +254,23 @@ class TestTrainingLoss:
         mask = np.array([[1, 1, 1, 0, 0], [1, 1, 1, 1, 1]], dtype=float)
         cond = Tensor(rng.normal((2, 5, 4)) * mask[..., None])
         t = np.array([7, 20])
-        loss1, _ = training_loss(model, x0, cond, t, eps, self.sched, mask)
+        loss1, _ = loss_and_grads(
+            lambda: training_loss_graph(model, x0, cond, t, eps, self.sched, mask)
+        )
         x0_junk = x0.copy()
         x0_junk[0, 3:] = 123.0
         eps_junk = eps.copy()
         eps_junk[0, 3:] = -55.0
-        loss2, _ = training_loss(model, x0_junk, cond, t, eps_junk, self.sched, mask)
+        loss2, _ = loss_and_grads(
+            lambda: training_loss_graph(model, x0_junk, cond, t, eps_junk, self.sched, mask)
+        )
         assert loss1 == pytest.approx(loss2, rel=1e-12)
 
     def test_all_masked_rejected(self, rng):
         model = StubModel(lambda x, c, t: Tensor(np.zeros(x.shape)))
         with pytest.raises(ValueError, match="mask"):
-            training_loss(model, rng.normal((2, 3, 3)), Tensor(np.zeros((2, 3, 2))), 3,
-                          rng.normal((2, 3, 3)), self.sched, np.zeros((2, 3)))
+            training_loss_graph(model, rng.normal((2, 3, 3)), Tensor(np.zeros((2, 3, 2))), 3,
+                                rng.normal((2, 3, 3)), self.sched, np.zeros((2, 3)))
 
     def test_gradients_match_finite_differences(self, rng):
         cfg = DenoiserConfig(channels=6, layers=2, dilation_cycle=(1, 2), cond_dim=4, step_hidden=8)

@@ -1,5 +1,7 @@
 """Quantization, JS divergence, mode coverage, and evaluation plumbing."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from prosody_ddpm.data import (
 )
 from prosody_ddpm.evaluation import (
     LN2,
+    RTF_REPEATS,
     BinningSpec,
     Predictor,
     build_reference,
@@ -257,6 +260,25 @@ class TestMeasureRtf:
         res = measure_rtf(pred, corpus, frame_rate=80.0)
         assert res.rtf > 0.0
         assert res.n_utterances == len(corpus.subset("test"))
+
+    def test_median_of_repeats_from_one_stream(self):
+        # A first call slowed by 50 ms must not decide the timing, and every
+        # repeat of an utterance's draw must see that utterance's stream.
+        corpus = _toy_corpus()
+        replay = _replay_predictor(corpus)
+        seen = []
+
+        def fn(tokens, rng, n):
+            seen.append(rng.normal())
+            if len(seen) == 1:
+                time.sleep(0.05)
+            return replay.fn(tokens, rng, n)
+
+        res = measure_rtf(Predictor("slow-start", fn), corpus, frame_rate=80.0)
+        assert res.seconds_per_utterance < 0.01
+        assert seen == [
+            Rng((0, ui)).normal() for ui in range(res.n_utterances) for _ in range(RTF_REPEATS)
+        ]
 
     def test_frame_rate_validation(self):
         corpus = _toy_corpus()

@@ -119,7 +119,6 @@ class TestBackward:
         with Tape() as tape:
             loss = nm.sum(nm.mul(w1, w1))
         grads = nm.backward(tape, loss)
-        assert w2 not in grads
         np.testing.assert_array_equal(grads.wrt(w2), [0.0, 0.0])
 
     def test_non_scalar_loss_rejected(self):
@@ -280,15 +279,15 @@ class TestBackward:
 
 class TestRng:
     def test_same_seed_same_draws(self):
-        a = nm.gaussian(Rng(42), (10,)).data
-        b = nm.gaussian(Rng(42), (10,)).data
+        a = Rng(42).normal((10,))
+        b = Rng(42).normal((10,))
         np.testing.assert_array_equal(a, b)
 
     def test_shape_contract(self):
-        assert nm.gaussian(Rng(0), (3, 5)).data.size == 15
+        assert Rng(0).normal((3, 5)).shape == (3, 5)
 
     def test_law_of_large_numbers(self):
-        x = nm.gaussian(Rng(7), (1_000_000,)).data
+        x = Rng(7).normal((1_000_000,))
         assert abs(x.mean()) < 0.01
         assert abs(x.var() - 1.0) < 0.01
 
