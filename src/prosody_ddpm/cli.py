@@ -145,8 +145,6 @@ def cmd_sample(args, extra: list[str]) -> int:
         ids = tuple(int(v) for v in args.tokens.split())
     except ValueError:
         raise ConfigError(f"tokens must be space-separated integers, got {args.tokens!r}") from None
-    if not ids:
-        raise ConfigError("empty token sequence")
     # An id outside the vocabulary fails in the condition encoder, before any chain step.
     tokens = TokenSequence(ids)
     sequences = predictor_from_checkpoint(ck).fn(tokens, Rng(args.seed), args.n)
@@ -219,8 +217,8 @@ def cmd_eval(args, extra: list[str]) -> int:
 def cmd_rtf(args, extra: list[str]) -> int:
     ck = load_checkpoint(args.checkpoint)
     config, corpus = _eval_setup(ck, args.corpus, extra)
-    result = measure_rtf(
-        predictor_from_checkpoint(ck), corpus, config.eval.frame_rate, seed=config.eval.seed
+    (result,) = measure_rtf(
+        [predictor_from_checkpoint(ck)], corpus, config.eval.frame_rate, seed=config.eval.seed
     )
     print(f"model: {ck.kind}")
     print(f"rtf: {result.rtf:.6f}")

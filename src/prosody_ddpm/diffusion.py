@@ -97,7 +97,8 @@ def posterior_mean(x_t: np.ndarray, eps_hat: np.ndarray, t: int, sched: NoiseSch
 
     ``(x_t - beta_t / sqrt(1 - a_bar_t) * eps_hat) / sqrt(alpha_t)``.
     """
-    sched.check_step(t)
+    if not 1 <= t <= sched.steps:
+        raise ValueError(f"step {t} outside [1, {sched.steps}]")
     coef = sched.beta[t] / np.sqrt(1.0 - sched.alpha_bar[t])
     return (np.asarray(x_t) - coef * np.asarray(eps_hat)) / np.sqrt(sched.alpha[t])
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -178,21 +178,26 @@ def build_reference(corpus: Corpus, bins: int) -> Reference:
     return Reference(binnings, hist, class_hist, tuple(int(c) for c in np.unique(all_ids)))
 
 
-def _draws(predictor: Predictor, corpus: Corpus, seed: int, n: int, repeats: int = 1):
-    """``(utterance, draws, seconds)`` per test utterance, timing only ``fn``.
+def _draws(predictors: Sequence[Predictor], corpus: Corpus, seed: int, n: int, repeats: int = 1):
+    """``(utterance, draws, seconds)`` per test utterance, with one entry of
+    ``draws`` and ``seconds`` per predictor, timing only ``fn``.
 
     Every predictor draws ``n`` sequences from ``Rng((seed, index))``, so
-    results do not depend on evaluation order.  Each of ``repeats`` calls
-    starts a fresh copy of that stream; ``seconds`` is their median.
+    results do not depend on evaluation order.  Each of ``repeats`` rounds
+    calls the predictors in turn, each from a fresh copy of that stream,
+    so drifting host speed hits them alike; ``seconds`` holds the median
+    per predictor.
     """
     for ui, utt in enumerate(_test_split(corpus)):
-        seconds = []
+        outs = [None] * len(predictors)
+        seconds = [[] for _ in predictors]
         for _ in range(repeats):
-            rng = Rng((seed, ui))
-            t0 = time.perf_counter()
-            out = predictor.fn(utt.tokens, rng, n)
-            seconds.append(time.perf_counter() - t0)
-        yield utt, out, float(np.median(seconds))
+            for i, predictor in enumerate(predictors):
+                rng = Rng((seed, ui))
+                t0 = time.perf_counter()
+                outs[i] = predictor.fn(utt.tokens, rng, n)
+                seconds[i].append(time.perf_counter() - t0)
+        yield utt, outs, [float(np.median(s)) for s in seconds]
 
 
 @dataclass
@@ -240,7 +245,7 @@ def evaluate_predictor(
     """
     pairs = [
         (utt.tokens, ps)
-        for utt, out, _ in _draws(predictor, corpus, seed, n_samples_per_utterance)
+        for utt, (out,), _ in _draws([predictor], corpus, seed, n_samples_per_utterance)
         for ps in out
     ]
     ids, feats = token_table(pairs)
@@ -411,29 +416,34 @@ class RtfResult:
 
 
 def measure_rtf(
-    predictor: Predictor,
+    predictors: Sequence[Predictor],
     corpus: Corpus,
     frame_rate: float,
     seed: int = 0,
-) -> RtfResult:
+) -> list[RtfResult]:
     """Wall-clock prediction time over implied audio time, averaged over
-    the test split.
+    the test split; one result per predictor, in order.
 
     Each test utterance's draw runs ``RTF_REPEATS`` times through the loop
     :func:`evaluate_predictor` uses, from the same per-utterance stream,
-    and the median time of the predictor call counts.  Audio time comes
-    from ground-truth durations at the assumed frame rate.
+    and the median time of the predictor call counts.  The predictors
+    take turns inside every repeat, so their times are comparable even
+    when the host's speed drifts.  Audio time comes from ground-truth
+    durations at the assumed frame rate.
     """
     if frame_rate <= 0.0:
         raise ValueError(f"frame_rate must be positive, got {frame_rate}")
-    timed = [
-        (dt, utt.prosody.duration.sum() / frame_rate)
-        for utt, _, dt in _draws(predictor, corpus, seed, 1, RTF_REPEATS)
+    rows = [
+        (utt.prosody.duration.sum() / frame_rate, *dt)
+        for utt, _, dt in _draws(predictors, corpus, seed, 1, RTF_REPEATS)
     ]
-    secs, audio = (np.array(col, dtype=np.float64) for col in zip(*timed))
-    return RtfResult(
-        rtf=float(np.mean(secs / audio)),
-        seconds_per_utterance=float(secs.mean()),
-        audio_seconds_per_utterance=float(audio.mean()),
-        n_utterances=len(timed),
-    )
+    audio, *secs = np.array(rows, dtype=np.float64).T
+    return [
+        RtfResult(
+            rtf=float(np.mean(col / audio)),
+            seconds_per_utterance=float(col.mean()),
+            audio_seconds_per_utterance=float(audio.mean()),
+            n_utterances=len(audio),
+        )
+        for col in secs
+    ]

@@ -16,6 +16,11 @@ Conventions:
 * sequences are ``(length, channels)`` arrays and batches add a leading
   axis, ``(batch, length, channels)``,
 * any NaN or Inf produced by a forward or backward step is a hard error.
+
+Every primitive output gets one exact elementwise NaN/Inf check, so the
+error names its primitive whether or not a tape records, and is wrapped
+without the re-validation :class:`Tensor` gives arrays from outside,
+which at reverse-chain sizes costs about as much as the arithmetic.
 """
 
 from __future__ import annotations
@@ -43,15 +48,9 @@ class NonFiniteError(ArithmeticError):
         self.where = where
 
 
-def _checked(op: str, arr: np.ndarray, where: str = "forward") -> np.ndarray:
-    # Fast path: a single sum is non-finite whenever any entry is NaN/Inf.
-    # The sum of finite values can itself overflow, so confirm with the
-    # exact elementwise check before raising.
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = arr.sum()
-    if not np.isfinite(total) and not np.all(np.isfinite(arr)):
+def _checked(op: str, arr: np.ndarray, where: str = "forward") -> None:
+    if not np.isfinite(arr).all():
         raise NonFiniteError(op, where)
-    return arr
 
 
 class Tensor:
@@ -129,8 +128,17 @@ class Tape:
 
 
 def _emit(op: str, out_data: np.ndarray, backward_fn: _BackwardFn) -> Tensor:
-    out = Tensor(_checked(op, out_data), _checked_op=None)
-    tape = _active_tape()
+    # ``out_data`` is an array the primitive has just computed: float64,
+    # C-contiguous and owning its buffer, so the asarray/copy checks in
+    # Tensor.__init__ would only add cost to every call.  A ufunc on 0-d
+    # operands returns a numpy scalar, which has no flags to set.
+    if not isinstance(out_data, np.ndarray):
+        out_data = np.asarray(out_data, dtype=np.float64)
+    _checked(op, out_data)
+    out_data.flags.writeable = False
+    out = object.__new__(Tensor)
+    object.__setattr__(out, "data", out_data)
+    tape = getattr(_tls, "tape", None)
     if tape is not None:
         tape.records.append((op, out, backward_fn))
     return out
@@ -300,9 +308,9 @@ def concat(xs: Sequence[Tensor]) -> Tensor:
     if not xs or any(x.data.ndim < 1 or x.shape[:-1] != xs[0].shape[:-1] for x in xs):
         raise ShapeError("concat", f"shapes {[x.shape for x in xs]} differ before the last axis")
     out = np.concatenate([x.data for x in xs], axis=-1)
-    ends = np.cumsum([x.shape[-1] for x in xs])
 
     def back(dout):
+        ends = np.cumsum([x.shape[-1] for x in xs])
         # Copies, not strided views: BLAS may round a reduction over a
         # strided operand differently, so the gradients of each input
         # match those it would get had it not been joined.

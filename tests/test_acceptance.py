@@ -352,9 +352,10 @@ def test_criterion_8_sampling_cost_pattern(bench):
         pred_full = ddpm_predictor(model_d, full, ck_d.stats)
         pred_half = ddpm_predictor(model_d, half, ck_d.stats)
         pred_base = baseline_predictor(model_b, ck_b.stats)
-        rtf_full = measure_rtf(pred_full, subset, frame_rate=80.0)
-        rtf_half = measure_rtf(pred_half, subset, frame_rate=80.0)
-        rtf_base = measure_rtf(pred_base, subset, frame_rate=80.0)
+        # One interleaved measurement: host speed drifts between separate ones.
+        rtf_full, rtf_half, rtf_base = measure_rtf(
+            [pred_full, pred_half, pred_base], subset, frame_rate=80.0
+        )
         assert rtf_full.seconds_per_utterance >= 100.0 * rtf_base.seconds_per_utterance, (
             rtf_full.seconds_per_utterance,
             rtf_base.seconds_per_utterance,

@@ -285,6 +285,13 @@ class TestCommands:
         assert f"-n must be at least 1, got {n}" in capsys.readouterr().err
         assert not (tmp_path / "s.tsv").exists()
 
+    def test_sample_rejects_empty_token_sequence(self, untrained, tmp_path, capsys):
+        rc = main(["sample", "--checkpoint", untrained["ddpm"], "--tokens", "",
+                   "--out", str(tmp_path / "s.tsv")])
+        assert rc == 2
+        assert "token sequence must have length >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "s.tsv").exists()
+
     def test_sample_names_misshapen_parameter(self, untrained, tmp_path, capsys):
         ck = load_checkpoint(untrained["ddpm"])
         name = next(k for k, p in ck.params.items() if p.data.ndim == 1)

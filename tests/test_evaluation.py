@@ -257,7 +257,7 @@ class TestMeasureRtf:
     def test_basic_result(self):
         corpus = _toy_corpus()
         pred = _replay_predictor(corpus)
-        res = measure_rtf(pred, corpus, frame_rate=80.0)
+        (res,) = measure_rtf([pred], corpus, frame_rate=80.0)
         assert res.rtf > 0.0
         assert res.n_utterances == len(corpus.subset("test"))
 
@@ -274,13 +274,37 @@ class TestMeasureRtf:
                 time.sleep(0.05)
             return replay.fn(tokens, rng, n)
 
-        res = measure_rtf(Predictor("slow-start", fn), corpus, frame_rate=80.0)
+        (res,) = measure_rtf([Predictor("slow-start", fn)], corpus, frame_rate=80.0)
         assert res.seconds_per_utterance < 0.01
         assert seen == [
             Rng((0, ui)).normal() for ui in range(res.n_utterances) for _ in range(RTF_REPEATS)
         ]
 
+    def test_predictors_take_turns_in_every_repeat(self):
+        # Timing A in one pass and B in a later one lets host-speed drift
+        # between the passes bias their ratio; the calls must interleave.
+        corpus = _toy_corpus()
+        replay = _replay_predictor(corpus)
+        calls = []
+
+        def tagged(name):
+            def fn(tokens, rng, n):
+                calls.append((name, tokens.ids))
+                return replay.fn(tokens, rng, n)
+
+            return Predictor(name, fn)
+
+        res_a, res_b = measure_rtf([tagged("A"), tagged("B")], corpus, frame_rate=80.0)
+        assert res_a.n_utterances == res_b.n_utterances == len(corpus.subset("test"))
+        assert res_a.audio_seconds_per_utterance == res_b.audio_seconds_per_utterance
+        assert calls == [
+            (name, utt.tokens.ids)
+            for utt in corpus.subset("test")
+            for _ in range(RTF_REPEATS)
+            for name in ("A", "B")
+        ]
+
     def test_frame_rate_validation(self):
         corpus = _toy_corpus()
         with pytest.raises(ValueError, match="frame_rate"):
-            measure_rtf(_replay_predictor(corpus), corpus, frame_rate=0.0)
+            measure_rtf([_replay_predictor(corpus)], corpus, frame_rate=0.0)

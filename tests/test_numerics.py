@@ -1,5 +1,7 @@
 """Primitive-level forward values, tape gradients, and RNG contracts."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -236,9 +238,18 @@ class TestBackward:
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_nan_error_names_offending_primitive(self):
-        with pytest.raises(NonFiniteError) as exc:
-            nm.add(Tensor(np.full(3, 1e308)), Tensor(np.full(3, 1e308)))
-        assert exc.value.op == "add"
+        x, w = Tensor(np.full((4, 2), 1e200)), Tensor(np.full((1, 2, 2), 1e200))
+        cases = [
+            ("add", lambda: nm.add(Tensor(np.full(3, 1e308)), Tensor(np.full(3, 1e308)))),
+            # tanh(inf) == 1, so the gate alone would hide the conv's overflow:
+            # the check must catch it where it is made, with no tape recording.
+            ("conv1d_dilated", lambda: nm.gated_tanh(nm.conv1d_dilated(x, w))),
+        ]
+        for op, make in cases:
+            assert nm._active_tape() is None
+            with pytest.raises(NonFiniteError) as exc:
+                make()
+            assert exc.value.op == op
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_nan_gradient_names_offending_primitive(self):
@@ -310,6 +321,68 @@ class TestTensor:
     def test_non_finite_leaf_rejected(self):
         with pytest.raises(NonFiniteError):
             Tensor([1.0, np.nan])
+
+    def test_finite_leaf_whose_sum_overflows_is_accepted(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t = Tensor(np.full(3, 1e308))
+        assert t.data.tolist() == [1e308] * 3
+
+
+def _primitive_calls(rng):
+    """``(name, call, ops it records, writeable arrays it is handed)`` for
+    every primitive, including the 0-d ``mul(sum(x), k)`` of ``masked_mse``."""
+    x = Tensor(rng.normal((2, 4, 6)))
+    z = Tensor(rng.normal((2, 4, 6)))
+    y = Tensor(rng.normal(6))
+    w, b = Tensor(rng.normal((6, 3))), Tensor(rng.normal(3))
+    cw, cb = Tensor(rng.normal((3, 6, 4))), Tensor(rng.normal(4))
+    table = Tensor(rng.normal((5, 6)))
+    ids = np.array([[0, 4, 2], [1, 1, 3]])
+    target, mask = rng.normal((2, 4, 6)), np.array([[1.0, 1, 1, 0], [1, 1, 0, 0]])
+    return [
+        ("add", lambda: nm.add(x, y), ["add"], []),
+        ("add_const", lambda: nm.add(x, 1.5), ["add"], []),
+        ("sub", lambda: nm.sub(x, z), ["sub"], []),
+        ("mul", lambda: nm.mul(x, z), ["mul"], []),
+        ("tanh", lambda: nm.tanh(x), ["tanh"], []),
+        ("sigmoid", lambda: nm.sigmoid(x), ["sigmoid"], []),
+        ("relu", lambda: nm.relu(x), ["relu"], []),
+        ("silu", lambda: nm.silu(x), ["sigmoid", "mul"], []),
+        ("matmul", lambda: nm.matmul(x, w, b), ["matmul"], []),
+        ("concat", lambda: nm.concat([x, z]), ["concat"], []),
+        ("gated_tanh", lambda: nm.gated_tanh(x), ["gated_tanh"], []),
+        ("conv1d_dilated", lambda: nm.conv1d_dilated(x, cw, cb, dilation=2), ["conv1d_dilated"], []),
+        ("layer_norm", lambda: nm.layer_norm(x, y, y), ["layer_norm"], []),
+        ("dropout", lambda: nm.dropout(x, 0.5, Rng(3), True), ["dropout"], []),
+        ("embed_lookup", lambda: nm.embed_lookup(table, ids), ["embed_lookup"], [ids]),
+        ("sum", lambda: nm.sum(x), ["sum"], []),
+        ("mean", lambda: nm.mean(x), ["mean"], []),
+        ("mul_0d", lambda: nm.mul(nm.sum(x), 2.0), ["sum", "mul"], []),
+        ("masked_mse", lambda: nm.masked_mse(x, target, mask, "loss"),
+         ["sub", "mul", "mul", "sum", "mul"], [target, mask]),
+    ]
+
+
+@pytest.mark.parametrize("name", [case[0] for case in _primitive_calls(Rng(0))])
+def test_primitive_outputs_follow_tensor_conventions(name, rng):
+    # Primitives wrap their fresh outputs without Tensor's re-validation, so
+    # each must hand over an array that already meets the conventions.
+    call, ops, writeable = next(case[1:] for case in _primitive_calls(rng) if case[0] == name)
+    with Tape() as finished:
+        pass
+    untaped = call()
+    assert finished.records == [] and nm._active_tape() is None
+    with Tape() as tape:
+        taped = call()
+    assert [rec[0] for rec in tape.records] == ops
+    assert tape.records[-1][1] is taped
+    for out in (untaped, taped):
+        arr = out.data
+        assert type(arr) is np.ndarray and arr.dtype == np.float64
+        assert arr.flags.c_contiguous and arr.flags.owndata and not arr.flags.writeable
+        assert not any(np.shares_memory(arr, a) for a in writeable)
+    assert np.array_equal(untaped.data, taped.data)
 
 
 # -- masked MSE reference ---------------------------------------------------
