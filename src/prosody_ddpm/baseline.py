@@ -1,44 +1,37 @@
 """Deterministic variance-predictor baseline trained with MSE.
 
 Three independent convolutional heads (pitch, energy, log-duration) read
-the shared condition vectors; each is two blocks of non-causal kernel-3
+the shared condition vectors; each is two blocks of non-causal
 convolution, a smooth nonlinearity, layer normalization and dropout,
 followed by a linear projection to one value per token.  At inference
 dropout is off and the mapping is a pure function of the condition.
+Sizes and the dropout rate come from ``[baseline]``; the input width is
+``denoiser.cond_dim``, the condition encoder's output.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import numerics as nm
+from .config import Config
 from .numerics import Rng, Tensor
 
 HEADS = ("pitch", "energy", "log_duration")
 
 
-@dataclass(frozen=True)
-class BaselineConfig:
-    cond_dim: int = 64
-    width: int = 256
-    kernel_size: int = 3
-    dropout: float = 0.5
-
-
 class BaselineNet:
-    def __init__(self, config: BaselineConfig, params: dict[str, Tensor]):
+    def __init__(self, config: Config, params: dict[str, Tensor]):
         self.config = config
         self.params = params
 
     @classmethod
-    def init(cls, config: BaselineConfig, rng: Rng) -> "BaselineNet":
-        c = config
-        k, w = c.kernel_size, c.width
+    def init(cls, config: Config, rng: Rng) -> "BaselineNet":
+        k, w = config.baseline.kernel_size, config.baseline.width
+        cond_dim = config.denoiser.cond_dim
         params: dict[str, Tensor] = {}
         for head in HEADS:
-            params[f"{head}.conv1.w"] = nm.uniform_fanin(rng, (k, c.cond_dim, w), k * c.cond_dim)
+            params[f"{head}.conv1.w"] = nm.uniform_fanin(rng, (k, cond_dim, w), k * cond_dim)
             params[f"{head}.conv1.b"] = nm.zeros(w)
             params[f"{head}.ln1.g"] = Tensor(np.ones(w))
             params[f"{head}.ln1.b"] = nm.zeros(w)
@@ -48,11 +41,11 @@ class BaselineNet:
             params[f"{head}.ln2.b"] = nm.zeros(w)
             params[f"{head}.out.w"] = nm.uniform_fanin(rng, (w, 1), w)
             params[f"{head}.out.b"] = nm.zeros(1)
-        return cls(c, params)
+        return cls(config, params)
 
     def head_forward(self, head: str, cond: Tensor, rng: Rng | None, training: bool) -> Tensor:
         p = self.params
-        rate = self.config.dropout
+        rate = self.config.baseline.dropout
         if training and rate > 0.0 and rng is None:
             raise ValueError("training forward with dropout needs an rng")
         h = nm.silu(nm.conv1d_dilated(cond, p[f"{head}.conv1.w"], p[f"{head}.conv1.b"]))

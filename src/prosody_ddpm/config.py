@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 from dataclasses import dataclass, field, fields
 
 
@@ -113,7 +114,10 @@ def _parse_value(section: str, key: str, text: str, default):
         if kind is int:
             return int(text)
         if kind is float:
-            return float(text)
+            value = float(text)
+            if not math.isfinite(value):
+                raise ValueError(f"not a finite number: {text!r}")
+            return value
         if kind is tuple:
             return tuple(int(v) for v in text.replace(",", " ").split())
         return text

@@ -118,7 +118,7 @@ class Corpus:
         return [self.utterances[i] for i in self.splits[split]]
 
 
-def assign_splits(corpus: Corpus, seed: int, holdout_fraction: float = 0.05) -> Corpus:
+def assign_splits(corpus: Corpus, seed: int, holdout_fraction: float) -> Corpus:
     """Deterministically tag utterances train/val/test.
 
     ``holdout_fraction`` of the corpus is reserved and halved into val and
@@ -353,7 +353,7 @@ def load_spec(path) -> SyntheticSpec:
             raise CorpusError(f"{path}: malformed spec ({type(e).__name__}: {e})") from None
 
 
-def desk_bench_spec(vocab_size: int = 20) -> SyntheticSpec:
+def desk_bench_spec(vocab_size: int) -> SyntheticSpec:
     """Default synthetic benchmark with known distribution shapes.
 
     Per token class: pitch is bimodal for the first half of the classes

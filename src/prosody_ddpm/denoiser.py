@@ -2,22 +2,26 @@
 
 The network maps a noisy 3-feature sequence, per-token condition vectors,
 and a diffusion step index to a noise estimate of the same shape as the
-input.  Ten residual layers of gated dilated convolutions (kernel 3,
-channel width 64 by default) with per-layer condition injection follow
-the usual conditional-WaveNet recipe; the diffusion step enters as a
-sinusoidal embedding passed through a two-layer projection and
-broadcast-added to every layer's input.
+input.  Residual layers of gated dilated convolutions with per-layer
+condition injection follow the usual conditional-WaveNet recipe; the
+diffusion step enters as a sinusoidal embedding passed through a
+two-layer projection and broadcast-added to every layer's input.  Both
+networks take their sizes from the run :class:`~prosody_ddpm.config.Config`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import numerics as nm
+from .config import Config
+from .data import DIM_NAMES
 from .numerics import Rng, Tensor
+
+# Kernel width of the condition encoder's two convolutions.
+_COND_KERNEL = 3
 
 
 def step_embedding(t, dim: int) -> np.ndarray:
@@ -36,15 +40,6 @@ def step_embedding(t, dim: int) -> np.ndarray:
     return np.concatenate([np.sin(ang), np.cos(ang)], axis=-1)[:, None, :]
 
 
-@dataclass(frozen=True)
-class ConditionEncoderConfig:
-    vocab_size: int
-    embed_dim: int = 64
-    hidden: int = 256
-    cond_dim: int = 64
-    kernel_size: int = 3
-
-
 class ConditionEncoder:
     """Learned per-token condition vectors from token classes and context.
 
@@ -52,52 +47,37 @@ class ConditionEncoder:
     context encoder; trained jointly with whichever predictor consumes it.
     """
 
-    def __init__(self, config: ConditionEncoderConfig, params: dict[str, Tensor]):
-        self.config = config
+    def __init__(self, params: dict[str, Tensor]):
         self.params = params
 
     @classmethod
-    def init(cls, config: ConditionEncoderConfig, rng: Rng) -> "ConditionEncoder":
-        c = config
-        k = c.kernel_size
+    def init(cls, config: Config, rng: Rng) -> "ConditionEncoder":
+        """Sizes come from ``[condition]``, ``data.vocab_size`` and
+        ``denoiser.cond_dim`` (the width every network reads)."""
+        c, k = config.condition, _COND_KERNEL
+        vocab, cond_dim = config.data.vocab_size, config.denoiser.cond_dim
         params = {
-            "cond.embed": nm.uniform_fanin(rng, (c.vocab_size, c.embed_dim), c.embed_dim),
+            "cond.embed": nm.uniform_fanin(rng, (vocab, c.embed_dim), c.embed_dim),
             "cond.conv1.w": nm.uniform_fanin(rng, (k, c.embed_dim, c.hidden), k * c.embed_dim),
             "cond.conv1.b": nm.zeros(c.hidden),
-            "cond.conv2.w": nm.uniform_fanin(rng, (k, c.hidden, c.cond_dim), k * c.hidden),
-            "cond.conv2.b": nm.zeros(c.cond_dim),
+            "cond.conv2.w": nm.uniform_fanin(rng, (k, c.hidden, cond_dim), k * c.hidden),
+            "cond.conv2.b": nm.zeros(cond_dim),
         }
-        return cls(c, params)
+        return cls(params)
 
     def forward(self, ids: np.ndarray) -> Tensor:
         """Condition vectors for ``ids`` of shape ``(length,)`` or ``(batch, length)``."""
         ids = np.asarray(ids)
-        if ids.size and (ids.min() < 0 or ids.max() >= self.config.vocab_size):
-            raise ValueError(
-                f"unknown token id {int(ids.max() if ids.max() >= self.config.vocab_size else ids.min())}"
-                f" for vocabulary of size {self.config.vocab_size}"
-            )
         p = self.params
+        vocab = p["cond.embed"].shape[0]
+        if ids.size and (ids.min() < 0 or ids.max() >= vocab):
+            raise ValueError(
+                f"unknown token id {int(ids.max() if ids.max() >= vocab else ids.min())}"
+                f" for vocabulary of size {vocab}"
+            )
         h = nm.embed_lookup(p["cond.embed"], ids)
         h = nm.silu(nm.conv1d_dilated(h, p["cond.conv1.w"], p["cond.conv1.b"]))
         return nm.conv1d_dilated(h, p["cond.conv2.w"], p["cond.conv2.b"])
-
-
-@dataclass(frozen=True)
-class DenoiserConfig:
-    channels: int = 64
-    layers: int = 10
-    kernel_size: int = 3
-    dilation_cycle: tuple[int, ...] = (1, 2, 4, 8, 16)
-    cond_dim: int = 64
-    step_hidden: int = 256
-    features: int = 3
-
-    def dilations(self) -> list[int]:
-        return [self.dilation_cycle[i % len(self.dilation_cycle)] for i in range(self.layers)]
-
-    def receptive_field(self) -> int:
-        return 1 + (self.kernel_size - 1) * sum(self.dilations())
 
 
 class Conditioning(NamedTuple):
@@ -116,17 +96,19 @@ class Denoiser:
     act as one projection of the concatenated gate outputs.  Everything
     that depends only on the condition or the step is computed by
     :meth:`condition` and :meth:`steps`, once per chain (once per step in
-    training), and passed to :meth:`forward`.
+    training), and passed to :meth:`forward`.  Layer ``i`` dilates by
+    ``dilation_cycle[i % len(dilation_cycle)]``.
     """
 
-    def __init__(self, config: DenoiserConfig, params: dict[str, Tensor]):
+    def __init__(self, config: Config, params: dict[str, Tensor]):
         self.config = config
         self.params = params
 
     @classmethod
-    def init(cls, config: DenoiserConfig, rng: Rng) -> "Denoiser":
-        c = config
-        ch, k = c.channels, c.kernel_size
+    def init(cls, config: Config, rng: Rng) -> "Denoiser":
+        """Sizes come from ``[denoiser]``."""
+        c = config.denoiser
+        ch, k, f = c.channels, c.kernel_size, len(DIM_NAMES)
 
         def fused(shape, fan_in) -> Tensor:
             # Filter then gate (or their condition projections), drawn in
@@ -135,7 +117,7 @@ class Denoiser:
             return Tensor(np.concatenate(halves, axis=-1), _checked_op=None)
 
         params: dict[str, Tensor] = {
-            "in.w": nm.uniform_fanin(rng, (c.features, ch), c.features),
+            "in.w": nm.uniform_fanin(rng, (f, ch), f),
             "in.b": nm.zeros(ch),
             "step.fc1.w": nm.uniform_fanin(rng, (ch, c.step_hidden), ch),
             "step.fc1.b": nm.zeros(c.step_hidden),
@@ -161,14 +143,14 @@ class Denoiser:
         params["post.b"] = nm.zeros(ch)
         # Zero-initialized head so the initial noise estimate is exactly 0,
         # which keeps the first training steps stable.
-        params["out.w"] = nm.zeros((ch, c.features))
-        params["out.b"] = nm.zeros(c.features)
-        return cls(c, params)
+        params["out.w"] = nm.zeros((ch, f))
+        params["out.b"] = nm.zeros(f)
+        return cls(config, params)
 
     def condition(self, cond: Tensor) -> Conditioning:
         """Chain constants for ``cond`` (``(..., length, cond_dim)``): its
         per-layer projections and the summed skip bias."""
-        c, p = self.config, self.params
+        c, p = self.config.denoiser, self.params
         if cond.data.ndim < 2 or cond.shape[-1] != c.cond_dim:
             raise nm.ShapeError("denoiser", f"condition {cond.shape} needs {c.cond_dim} channels")
         proj = [
@@ -180,7 +162,7 @@ class Denoiser:
         """Step-MLP output for a scalar step, ``(1, C)``, or an integer array
         of steps, ``(len(t), 1, C)``; either broadcasts over positions."""
         p = self.params
-        emb = step_embedding(t, self.config.channels)
+        emb = step_embedding(t, self.config.denoiser.channels)
         if np.ndim(t) == 0:
             emb = emb[0]
         e = nm.matmul(Tensor(emb), p["step.fc1.w"], p["step.fc1.b"])
@@ -192,17 +174,19 @@ class Denoiser:
         ``cond`` comes from :meth:`condition` and must match ``x_t`` on all
         axes but the last; ``e`` comes from :meth:`steps`.
         """
-        c, p = self.config, self.params
-        if x_t.shape[-1] != c.features:
-            raise nm.ShapeError("denoiser", f"expected {c.features} features, got {x_t.shape}")
+        c, p = self.config.denoiser, self.params
+        if x_t.shape[-1] != len(DIM_NAMES):
+            raise nm.ShapeError("denoiser", f"expected {len(DIM_NAMES)} features, got {x_t.shape}")
         if cond.proj[0].shape[:-1] != x_t.shape[:-1]:
             raise nm.ShapeError(
                 "denoiser", f"condition {cond.proj[0].shape} does not match input {x_t.shape}"
             )
         h = nm.relu(nm.matmul(x_t, p["in.w"], p["in.b"]))
         gated = []
-        for i, dil in enumerate(c.dilations()):
+        cycle = c.dilation_cycle
+        for i in range(c.layers):
             pre = f"layer{i}"
+            dil = cycle[i % len(cycle)]
             z = nm.conv1d_dilated(nm.add(h, e), p[f"{pre}.conv.w"], p[f"{pre}.conv.b"], dil)
             gated.append(nm.gated_tanh(nm.add(z, cond.proj[i])))
             if i < c.layers - 1:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics as nm
+from .data import DIM_NAMES
 from .numerics import Rng, Tensor
 
 
@@ -171,7 +172,7 @@ def sample_model_space(model, cond: Tensor, sched: NoiseSchedule, rng: Rng) -> n
     condition projections and the step features of every ``t`` are
     computed once, before the first step.
     """
-    shape = cond.shape[:-1] + (3,)
+    shape = cond.shape[:-1] + (len(DIM_NAMES),)
     constants = model.condition(cond)
     step_features = model.steps(np.arange(1, sched.steps + 1)).data
     x = rng.normal(shape)

@@ -38,7 +38,7 @@ class BinningSpec:
     dimension: str
     lo: float
     hi: float
-    bins: int = 128
+    bins: int
 
     def __post_init__(self):
         object.__setattr__(self, "lo", float(self.lo))

@@ -54,7 +54,12 @@ def _checked(op: str, arr: np.ndarray, where: str = "forward") -> None:
 
 
 class Tensor:
-    """Immutable float64 array participating in tape-recorded computation."""
+    """Immutable float64 array participating in tape-recorded computation.
+
+    A writeable C-contiguous float64 array that owns its buffer is adopted
+    without a copy and marked read-only; anything else is copied.  Pass a
+    copy of an array you still mean to write to.
+    """
 
     __slots__ = ("data",)
 
@@ -485,7 +490,7 @@ def masked_mse(pred: Tensor, target, mask, op: str) -> Tensor:
     ``mask`` (1 keeps, 0 drops) covers every axis of ``target`` but the
     last, feature axis; ``None`` keeps everything.  Errors name ``op``.
     """
-    target = np.asarray(target, dtype=np.float64)
+    target = np.array(target, dtype=np.float64)  # a copy: Tensor adopts it
     if pred.shape != target.shape:
         raise ShapeError(op, f"prediction {pred.shape} does not match target {target.shape}")
     diff = sub(pred, Tensor(target))

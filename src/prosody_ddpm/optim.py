@@ -9,15 +9,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from .config import OptimizerSection
 from .numerics import Gradients, Tensor
 
 
 class Adam:
-    def __init__(self, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+    def __init__(self, config: OptimizerSection):
+        self.config = config
         self.t = 0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
@@ -29,9 +27,10 @@ class Adam:
         frozen: frozenset[str] = frozenset(),
     ) -> dict[str, Tensor]:
         """One update; returns the new parameter dict (same key order)."""
+        c = self.config
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
+        bc1 = 1.0 - c.beta1**self.t
+        bc2 = 1.0 - c.beta2**self.t
         out: dict[str, Tensor] = {}
         for name, p in params.items():
             if name in frozen:
@@ -46,11 +45,11 @@ class Adam:
                 self.v[name] = v
             else:
                 v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            update = (self.lr / bc1) * m / (np.sqrt(v / bc2) + self.eps)
+            m *= c.beta1
+            m += (1.0 - c.beta1) * g
+            v *= c.beta2
+            v += (1.0 - c.beta2) * (g * g)
+            update = (c.lr / bc1) * m / (np.sqrt(v / bc2) + c.eps)
             out[name] = Tensor(p.data - update, _checked_op=None)
         return out
 

@@ -12,16 +12,16 @@ checkpoint finishes bit-identically to an uninterrupted one.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import diffusion, numerics as nm
-from .baseline import BaselineConfig, BaselineNet, baseline_loss_graph
+from .baseline import BaselineNet, baseline_loss_graph
 from .checkpoint import Checkpoint, load_checkpoint, rng_state_to_json
 from .config import Config, ConfigError, canonical_text
 from .data import Corpus, NormStats, assign_splits, compute_norm_stats, normalize
-from .denoiser import ConditionEncoder, ConditionEncoderConfig, Denoiser, DenoiserConfig
+from .denoiser import ConditionEncoder, Denoiser
 from .diffusion import NoiseSchedule, linear_schedule
 from .numerics import Rng, Tape, Tensor
 from .optim import Adam
@@ -56,19 +56,12 @@ class TrainableModel:
 
 
 def init_model(config: Config, kind: str, rng: Rng) -> TrainableModel:
-    # The network configs share their field names with the config sections.
-    cond_dim = config.denoiser.cond_dim
-    c = config.condition
-    cond = ConditionEncoder.init(
-        ConditionEncoderConfig(config.data.vocab_size, c.embed_dim, c.hidden, cond_dim), rng
-    )
-    if kind == "ddpm":
-        net = Denoiser.init(DenoiserConfig(**asdict(config.denoiser)), rng)
-    elif kind == "baseline":
-        net = BaselineNet.init(BaselineConfig(cond_dim, **asdict(config.baseline)), rng)
-    else:
+    """Draw the condition encoder, then the network, from ``rng``."""
+    nets = {"ddpm": Denoiser, "baseline": BaselineNet}
+    if kind not in nets:
         raise ValueError(f"unknown model kind {kind!r}")
-    return TrainableModel(kind=kind, cond=cond, net=net)
+    cond = ConditionEncoder.init(config, rng)
+    return TrainableModel(kind=kind, cond=cond, net=nets[kind].init(config, rng))
 
 
 def _check_params(given: dict[str, Tensor], expected: dict[str, Tensor], what: str) -> None:
@@ -163,8 +156,7 @@ def train_model(
     prep = prepare_corpus(config, corpus)
     sched = schedule_from_config(config) if kind == "ddpm" else None
     total_steps = config.train.steps if steps is None else steps
-    opt_cfg = config.optimizer
-    optimizer = Adam(lr=opt_cfg.lr, beta1=opt_cfg.beta1, beta2=opt_cfg.beta2, eps=opt_cfg.eps)
+    optimizer = Adam(config.optimizer)
     frozen: frozenset[str] = frozenset()
 
     if resume is not None:
@@ -194,7 +186,7 @@ def train_model(
             frozen = frozenset(model.cond.params)
 
     log: list[tuple[int, float]] = []
-    batch = opt_cfg.batch_size
+    batch = config.optimizer.batch_size
     n_train = len(prep.token_ids)
 
     step = start_step

@@ -12,10 +12,18 @@ import numpy as np
 import pytest
 
 import prosody_ddpm.numerics as nm
-from prosody_ddpm.baseline import baseline_loss_graph
+from prosody_ddpm.baseline import BaselineNet, baseline_loss_graph
 from prosody_ddpm.checkpoint import load_checkpoint, save_checkpoint
 from prosody_ddpm.cli import main
-from prosody_ddpm.config import default_config
+from prosody_ddpm.config import (
+    BaselineSection,
+    ConditionSection,
+    Config,
+    DataSection,
+    DenoiserSection,
+    OptimizerSection,
+    default_config,
+)
 from prosody_ddpm.data import (
     assign_splits,
     desk_bench_spec,
@@ -23,13 +31,7 @@ from prosody_ddpm.data import (
     load_corpus,
     save_corpus,
 )
-from prosody_ddpm.denoiser import (
-    ConditionEncoder,
-    ConditionEncoderConfig,
-    Denoiser,
-    DenoiserConfig,
-    count_parameters,
-)
+from prosody_ddpm.denoiser import ConditionEncoder, Denoiser, count_parameters
 from prosody_ddpm.diffusion import linear_schedule, sample_model_space, training_loss_graph
 from prosody_ddpm.evaluation import (
     LN2,
@@ -184,13 +186,15 @@ def test_criterion_2_gradient_fidelity():
 
         # full noise-prediction loss through condition encoder and denoiser
         sched = linear_schedule(25, 1e-3, 0.2)
-        den = Denoiser.init(
-            DenoiserConfig(channels=8, layers=2, dilation_cycle=(1, 2), cond_dim=6, step_hidden=12),
-            rng,
+        small = Config(
+            denoiser=DenoiserSection(channels=8, layers=2, dilation_cycle=(1, 2), cond_dim=6,
+                                     step_hidden=12),
+            condition=ConditionSection(embed_dim=6, hidden=8),
+            baseline=BaselineSection(width=8, dropout=0.25),
+            data=DataSection(vocab_size=5),
         )
-        enc = ConditionEncoder.init(
-            ConditionEncoderConfig(vocab_size=5, embed_dim=6, hidden=8, cond_dim=6), rng
-        )
+        den = Denoiser.init(small, rng)
+        enc = ConditionEncoder.init(small, rng)
         jitter_params(den.params, rng)
         jitter_params(enc.params, rng)
         ids = np.array([[0, 1, 2, 3], [4, 3, 1, 0]])
@@ -208,9 +212,7 @@ def test_criterion_2_gradient_fidelity():
         fd_check(ddpm_loss, {**enc.params, **den.params}, probes_per_tensor=2)
 
         # full baseline MSE loss with dropout active under a fixed stream
-        from prosody_ddpm.baseline import BaselineConfig, BaselineNet
-
-        net = BaselineNet.init(BaselineConfig(cond_dim=6, width=8, dropout=0.25), rng)
+        net = BaselineNet.init(small, rng)
         jitter_params(net.params, rng)
         cvec_const = rng.normal((2, 4, 6))
         target = rng.normal((2, 4, 3))
@@ -228,15 +230,16 @@ def test_criterion_3_closed_form_gaussian_oracle():
         sigma = np.array([0.3, 0.2, 0.35])
         length = 6
         rng = Rng(42)
-        den = Denoiser.init(
-            DenoiserConfig(channels=32, layers=4, dilation_cycle=(1, 2), cond_dim=32, step_hidden=64),
-            rng,
+        cfg = Config(
+            denoiser=DenoiserSection(channels=32, layers=4, dilation_cycle=(1, 2), cond_dim=32,
+                                     step_hidden=64),
+            condition=ConditionSection(embed_dim=16, hidden=32),
+            data=DataSection(vocab_size=1),
         )
-        enc = ConditionEncoder.init(
-            ConditionEncoderConfig(vocab_size=1, embed_dim=16, hidden=32, cond_dim=32), rng
-        )
+        den = Denoiser.init(cfg, rng)
+        enc = ConditionEncoder.init(cfg, rng)
         sched = linear_schedule(300, 1e-4, 0.1)
-        opt = Adam(lr=1e-3)
+        opt = Adam(OptimizerSection(lr=1e-3))
         ids = np.zeros((16, length), dtype=np.int64)
         for _ in range(8000):
             x0 = mu + sigma * rng.normal((16, length, 3))
@@ -406,25 +409,26 @@ def test_training_loss_falls_quickly(bench):
 
 def test_criterion_10_parameter_accounting():
     with criterion(10, "parameter count matches the closed form and the expected range"):
-        cfg = DenoiserConfig()
-        den = Denoiser.init(cfg, Rng(0))
-        enc = ConditionEncoder.init(ConditionEncoderConfig(vocab_size=20), Rng(0))
+        config = Config()
+        den = Denoiser.init(config, Rng(0))
+        enc = ConditionEncoder.init(config, Rng(0))
+        cfg, features = config.denoiser, 3
         ch, k, d, h = cfg.channels, cfg.kernel_size, cfg.cond_dim, cfg.step_hidden
         per_layer = 2 * (k * ch * ch + ch) + 2 * (d * ch + ch) + (ch * ch + ch)
         expect_den = (
-            (cfg.features * ch + ch)
+            (features * ch + ch)
             + (ch * h + h)
             + (h * ch + ch)
             + cfg.layers * per_layer
             + (cfg.layers - 1) * (ch * ch + ch)
             + (ch * ch + ch)
-            + (ch * cfg.features + cfg.features)
+            + (ch * features + features)
         )
-        cc = enc.config
+        cc, kc = config.condition, 3  # the encoder's kernel width is fixed
         expect_enc = (
-            cc.vocab_size * cc.embed_dim
-            + (cc.kernel_size * cc.embed_dim * cc.hidden + cc.hidden)
-            + (cc.kernel_size * cc.hidden * cc.cond_dim + cc.cond_dim)
+            config.data.vocab_size * cc.embed_dim
+            + (kc * cc.embed_dim * cc.hidden + cc.hidden)
+            + (kc * cc.hidden * d + d)
         )
         assert count_parameters(den) == expect_den
         assert count_parameters(enc) == expect_enc

@@ -4,18 +4,23 @@ import numpy as np
 import pytest
 
 import prosody_ddpm.numerics as nm
-from prosody_ddpm.baseline import (
-    BaselineConfig,
-    BaselineNet,
-    baseline_loss_graph,
-    baseline_predict,
-)
+from prosody_ddpm.baseline import BaselineNet, baseline_loss_graph, baseline_predict
+from prosody_ddpm.config import BaselineSection, Config, DenoiserSection, OptimizerSection
 from prosody_ddpm.numerics import Rng, Tensor
 from prosody_ddpm.optim import Adam
 
 from conftest import fd_check, jitter_params, loss_and_grads
 
-SMALL = BaselineConfig(cond_dim=6, width=12, kernel_size=3, dropout=0.5)
+
+def small(cond_dim: int, width: int, dropout: float) -> Config:
+    """A run config whose baseline reads ``cond_dim``-wide conditions."""
+    return Config(
+        denoiser=DenoiserSection(cond_dim=cond_dim),
+        baseline=BaselineSection(width=width, dropout=dropout),
+    )
+
+
+SMALL = small(6, 12, 0.5)
 
 
 class TestPredict:
@@ -35,7 +40,7 @@ class TestPredict:
 
 class TestLoss:
     def test_zero_loss_when_prediction_equals_target(self, rng):
-        cfg = BaselineConfig(cond_dim=6, width=12, dropout=0.0)
+        cfg = small(6, 12, 0.0)
         net = BaselineNet.init(cfg, rng)
         c = Tensor(rng.normal((5, 6)))
         target = baseline_predict(net, c)
@@ -57,7 +62,7 @@ class TestLoss:
                                 mask=np.zeros(4), rng=rng)
 
     def test_masked_positions_excluded(self, rng):
-        cfg = BaselineConfig(cond_dim=6, width=12, dropout=0.0)
+        cfg = small(6, 12, 0.0)
         net = BaselineNet.init(cfg, rng)
         c = Tensor(rng.normal((6, 6)))
         target = rng.normal((6, 3))
@@ -69,7 +74,7 @@ class TestLoss:
         assert loss1 == pytest.approx(loss2, rel=1e-12)
 
     def test_gradients_match_finite_differences(self, rng):
-        cfg = BaselineConfig(cond_dim=4, width=6, dropout=0.0)
+        cfg = small(4, 6, 0.0)
         net = BaselineNet.init(cfg, rng)
         jitter_params(net.params, rng)
         c_data = rng.normal((5, 4))
@@ -83,7 +88,7 @@ class TestLoss:
         fd_check(loss_fn, dict(net.params), probes_per_tensor=2)
 
     def test_dropout_gradients_with_fixed_mask(self, rng):
-        cfg = BaselineConfig(cond_dim=4, width=6, dropout=0.3)
+        cfg = small(4, 6, 0.3)
         net = BaselineNet.init(cfg, rng)
         jitter_params(net.params, rng)
         c_data = rng.normal((4, 4))
@@ -98,18 +103,12 @@ class TestLoss:
 
 class TestParameterBudget:
     def test_default_baseline_exceeds_default_diffusion_predictor(self):
-        from prosody_ddpm.denoiser import (
-            ConditionEncoder,
-            ConditionEncoderConfig,
-            Denoiser,
-            DenoiserConfig,
-            count_parameters,
-        )
+        from prosody_ddpm.denoiser import ConditionEncoder, Denoiser, count_parameters
 
         r = Rng(0)
-        enc = ConditionEncoder.init(ConditionEncoderConfig(vocab_size=20), r)
-        den = Denoiser.init(DenoiserConfig(), r)
-        base = BaselineNet.init(BaselineConfig(), r)
+        enc = ConditionEncoder.init(Config(), r)
+        den = Denoiser.init(Config(), r)
+        base = BaselineNet.init(Config(), r)
         n_ddpm = count_parameters(enc) + count_parameters(den)
         n_base = count_parameters(enc) + count_parameters(base)
         assert n_base > n_ddpm
@@ -120,9 +119,8 @@ class TestMeanCollapse:
         # MSE optimum is the conditional mean: modes at +/-m with equal
         # weight pull the trained prediction to ~0.
         m = 2.0
-        cfg = BaselineConfig(cond_dim=4, width=16, dropout=0.1)
-        net = BaselineNet.init(cfg, rng)
-        opt = Adam(lr=2e-3)
+        net = BaselineNet.init(small(4, 16, 0.1), rng)
+        opt = Adam(OptimizerSection(lr=2e-3))
         c_data = rng.normal((8, 4))  # one fixed condition set
         for _ in range(600):
             signs = np.where(rng.uniform((8, 1)) < 0.5, -1.0, 1.0)

@@ -3,6 +3,7 @@
 import errno
 import re
 import struct
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -15,15 +16,24 @@ from prosody_ddpm.checkpoint import (
     save_checkpoint,
 )
 from prosody_ddpm.config import (
+    BaselineSection,
+    ConditionSection,
+    Config,
     ConfigError,
+    DataSection,
+    DenoiserSection,
     canonical_text,
     config_hash,
     default_config,
     load_config,
     parse_config,
+    validate,
 )
 from prosody_ddpm.data import NormStats
 from prosody_ddpm.numerics import Rng, Tensor
+from prosody_ddpm.training import init_model
+
+from conftest import jitter_params
 
 
 class TestConfig:
@@ -98,6 +108,10 @@ class TestConfig:
         ):
             with pytest.raises(ConfigError):
                 parse_config(text)
+        # Infinity passes the range checks (inf > 0), so parsing rejects it.
+        for section, key in (("optimizer", "eps"), ("optimizer", "lr"), ("eval", "frame_rate")):
+            with pytest.raises(ConfigError, match=rf"\[{section}\] {key}: not a finite number"):
+                parse_config(f"[{section}]\n{key} = inf\n")
 
     def test_canonical_text_roundtrip_and_hash(self):
         c = parse_config("[train]\nsteps = 7\n[schedule]\nbeta_end = 0.3\n")
@@ -112,6 +126,57 @@ class TestConfig:
         path = tmp_path / "run.ini"
         path.write_text("[train]\nsteps = 3\n")
         assert load_config(path).train.steps == 3
+
+
+SMALL = Config(
+    denoiser=DenoiserSection(channels=8, layers=2, dilation_cycle=(1, 2), cond_dim=6, step_hidden=12),
+    condition=ConditionSection(embed_dim=6, hidden=10),
+    baseline=BaselineSection(width=12),
+    data=DataSection(vocab_size=5),
+)
+MODEL_KEYS = (
+    [("denoiser", f.name) for f in fields(DenoiserSection)]
+    + [("baseline", f.name) for f in fields(BaselineSection)]
+    + [("condition", "embed_dim"), ("condition", "hidden"), ("data", "vocab_size")]
+)
+
+
+def _model_fingerprint(config: Config, kind: str):
+    """Parameter shapes of a fresh ``kind`` model, and its output on fixed
+    inputs and noise once every weight (the zero ddpm head too) is jittered."""
+    model = init_model(config, kind, Rng(0))
+    params = model.params
+    jitter_params(params, Rng(1))
+    model.replace_params(params)
+    cond = model.cond.forward(np.array([[0, 1, 2, 3, 4, 3, 2, 1]]))
+    net = model.net
+    if kind == "ddpm":
+        x_t = Tensor(Rng(2).normal((1, 8, 3)))
+        out = net.forward(x_t, net.condition(cond), net.steps(np.array([3])))
+    else:
+        out = net.forward(cond, Rng(2), training=True)
+    return {k: p.shape for k, p in params.items()}, out.data
+
+
+@pytest.mark.parametrize("section,key", MODEL_KEYS, ids=[f"{s}.{k}" for s, k in MODEL_KEYS])
+def test_every_model_key_reaches_the_model(section, key):
+    value = getattr(getattr(SMALL, section), key)
+    if isinstance(value, tuple):
+        changed = value[::-1]
+    elif isinstance(value, float):
+        changed = value / 2
+    else:
+        changed = value + 2
+    other = replace(SMALL, **{section: replace(getattr(SMALL, section), **{key: changed})})
+    validate(other)
+    # The condition encoder and ``denoiser.cond_dim`` feed both networks.
+    kinds = {"denoiser": ["ddpm"], "baseline": ["baseline"]}.get(section, ["ddpm", "baseline"])
+    if key == "cond_dim":
+        kinds = ["ddpm", "baseline"]
+    for kind in kinds:
+        shapes, out = _model_fingerprint(SMALL, kind)
+        other_shapes, other_out = _model_fingerprint(other, kind)
+        assert shapes != other_shapes or not np.array_equal(out, other_out), (kind, section, key)
 
 
 def _dummy_checkpoint() -> Checkpoint:

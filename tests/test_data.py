@@ -201,7 +201,7 @@ class TestNormalization:
         return generate_corpus(desk_bench_spec(6), n, (3, 9), Rng(seed))
 
     def test_train_split_z_scores(self):
-        corpus = assign_splits(self._corpus(n=200), seed=3)
+        corpus = assign_splits(self._corpus(n=200), seed=3, holdout_fraction=0.05)
         stats = compute_norm_stats(corpus)
         pooled = np.concatenate([normalize(u.prosody, stats) for u in corpus.subset("train")])
         np.testing.assert_allclose(pooled.mean(axis=0), 0.0, atol=1e-10)
@@ -243,7 +243,7 @@ class TestNormalization:
             )
             for i in range(40)
         ]
-        corpus = assign_splits(Corpus(utts), seed=0)
+        corpus = assign_splits(Corpus(utts), seed=0, holdout_fraction=0.05)
         with pytest.raises(ValueError, match="zero variance"):
             compute_norm_stats(corpus)
 
@@ -251,15 +251,15 @@ class TestNormalization:
 class TestSplits:
     def test_pure_function_of_corpus_and_seed(self):
         corpus = generate_corpus(desk_bench_spec(6), 100, (3, 6), Rng(1))
-        a = assign_splits(corpus, seed=5)
-        b = assign_splits(corpus, seed=5)
-        c = assign_splits(corpus, seed=6)
+        a = assign_splits(corpus, seed=5, holdout_fraction=0.05)
+        b = assign_splits(corpus, seed=5, holdout_fraction=0.05)
+        c = assign_splits(corpus, seed=6, holdout_fraction=0.05)
         assert a.splits == b.splits
         assert a.splits != c.splits
 
     def test_default_ratio(self):
         corpus = generate_corpus(desk_bench_spec(6), 400, (3, 6), Rng(1))
-        tagged = assign_splits(corpus, seed=0)
+        tagged = assign_splits(corpus, seed=0, holdout_fraction=0.05)
         held = len(tagged.splits["val"]) + len(tagged.splits["test"])
         assert held == round(0.05 * 400)
         assert len(tagged.splits["train"]) == 400 - held

@@ -4,31 +4,33 @@ import numpy as np
 import pytest
 
 import prosody_ddpm.numerics as nm
-from prosody_ddpm.denoiser import (
-    ConditionEncoder,
-    ConditionEncoderConfig,
-    Denoiser,
-    DenoiserConfig,
-    count_parameters,
-    step_embedding,
+from prosody_ddpm.config import (
+    ConditionSection,
+    Config,
+    DataSection,
+    DenoiserSection,
+    OptimizerSection,
 )
+from prosody_ddpm.denoiser import ConditionEncoder, Denoiser, count_parameters, step_embedding
 from prosody_ddpm.diffusion import linear_schedule, training_loss_graph
 from prosody_ddpm.numerics import Rng, Tape, Tensor
 from prosody_ddpm.optim import Adam
 
-SMALL = DenoiserConfig(channels=8, layers=3, dilation_cycle=(1, 2), cond_dim=6, step_hidden=12)
+SMALL = Config(
+    denoiser=DenoiserSection(channels=8, layers=3, dilation_cycle=(1, 2), cond_dim=6, step_hidden=12),
+    condition=ConditionSection(embed_dim=6, hidden=10),
+    data=DataSection(vocab_size=5),
+)
 
 
 def run(den, x, cond, t):
     return den.forward(x, den.condition(cond), den.steps(t))
 
 
-def small_models(seed=0, vocab=5):
+def small_models(seed=0):
     rng = Rng(seed)
     den = Denoiser.init(SMALL, rng)
-    enc = ConditionEncoder.init(
-        ConditionEncoderConfig(vocab_size=vocab, embed_dim=6, hidden=10, cond_dim=6), rng
-    )
+    enc = ConditionEncoder.init(SMALL, rng)
     return den, enc
 
 
@@ -59,7 +61,9 @@ class TestForward:
     def test_interior_translation_equivariance(self, rng):
         den, enc = small_models()
         den.params["out.w"] = Tensor(rng.normal((8, 3)) * 0.2)
-        rf = SMALL.receptive_field()
+        d = SMALL.denoiser
+        dilations = [d.dilation_cycle[i % len(d.dilation_cycle)] for i in range(d.layers)]
+        rf = 1 + (d.kernel_size - 1) * sum(dilations)
         n, k = 40, 5
         pattern_ids = rng.integers(0, 5, 20)
         ids1 = np.zeros(n, dtype=np.int64)
@@ -112,8 +116,9 @@ class TestConditionEncoder:
         np.testing.assert_array_equal(enc.forward(ids).data, enc.forward(ids).data)
 
     def test_cond_dim_default_matches_channels(self):
-        assert ConditionEncoderConfig(vocab_size=10).cond_dim == 64
-        assert DenoiserConfig().channels == 64
+        cfg = Config()
+        assert cfg.denoiser.cond_dim == cfg.denoiser.channels == 64
+        assert ConditionEncoder.init(cfg, Rng(0)).forward(np.array([0])).shape == (1, 64)
 
     def test_one_token_perturbation_changes_condition(self, rng):
         _, enc = small_models(seed=3)
@@ -141,8 +146,8 @@ class TestParameterAccounting:
 
     def test_default_topology_closed_form(self):
         # Independent hand count over the declared topology.
-        cfg = DenoiserConfig()
-        den = Denoiser.init(cfg, Rng(0))
+        den = Denoiser.init(Config(), Rng(0))
+        cfg, features = Config().denoiser, 3
         ch, k, d, h = cfg.channels, cfg.kernel_size, cfg.cond_dim, cfg.step_hidden
         per_layer = (
             2 * (k * ch * ch + ch)  # filter and gate dilated convs
@@ -150,26 +155,20 @@ class TestParameterAccounting:
             + (ch * ch + ch)  # skip 1x1
         )
         expect = (
-            (cfg.features * ch + ch)  # input projection
+            (features * ch + ch)  # input projection
             + (ch * h + h) + (h * ch + ch)  # step embedding projections
             + cfg.layers * per_layer
             + (cfg.layers - 1) * (ch * ch + ch)  # residual 1x1 (absent on the last layer)
             + (ch * ch + ch)  # post-skip 1x1
-            + (ch * cfg.features + cfg.features)  # output head
+            + (ch * features + features)  # output head
         )
         assert count_parameters(den) == expect
 
     def test_default_predictor_total_in_expected_range(self):
-        den = Denoiser.init(DenoiserConfig(), Rng(0))
-        enc = ConditionEncoder.init(ConditionEncoderConfig(vocab_size=20), Rng(0))
+        den = Denoiser.init(Config(), Rng(0))
+        enc = ConditionEncoder.init(Config(), Rng(0))
         total = count_parameters(den) + count_parameters(enc)
         assert 5e5 <= total <= 1.2e6, total
-
-    def test_receptive_field_default(self):
-        cfg = DenoiserConfig()
-        dil = cfg.dilations()
-        assert dil == [1, 2, 4, 8, 16, 1, 2, 4, 8, 16]
-        assert cfg.receptive_field() == 1 + 2 * sum(dil) == 125
 
 
 class TestGradientFlow:
@@ -179,7 +178,7 @@ class TestGradientFlow:
         den, enc = small_models(seed=1)
         sched = linear_schedule(30, 1e-3, 0.2)
         ids = np.array([[0, 1, 2, 3, 4]])
-        opt = Adam(lr=1e-3)
+        opt = Adam(OptimizerSection(lr=1e-3))
         last = None
         for _ in range(2):
             x0 = rng.normal((1, 5, 3))
@@ -205,10 +204,10 @@ class TestGradientFlow:
 # same function from the same seed.
 
 
-def _reference_init(c: DenoiserConfig, rng: Rng) -> dict:
+def _reference_init(c: DenoiserSection, rng: Rng) -> dict:
     ch, k = c.channels, c.kernel_size
     params = {
-        "in.w": nm.uniform_fanin(rng, (c.features, ch), c.features),
+        "in.w": nm.uniform_fanin(rng, (3, ch), 3),
         "in.b": nm.zeros(ch),
         "step.fc1.w": nm.uniform_fanin(rng, (ch, c.step_hidden), ch),
         "step.fc1.b": nm.zeros(c.step_hidden),
@@ -232,12 +231,12 @@ def _reference_init(c: DenoiserConfig, rng: Rng) -> dict:
         params[f"{pre}.skip.b"] = nm.zeros(ch)
     params["post.w"] = nm.uniform_fanin(rng, (ch, ch), ch)
     params["post.b"] = nm.zeros(ch)
-    params["out.w"] = nm.zeros((ch, c.features))
-    params["out.b"] = nm.zeros(c.features)
+    params["out.w"] = nm.zeros((ch, 3))
+    params["out.b"] = nm.zeros(3)
     return params
 
 
-def _reference_forward(c: DenoiserConfig, p: dict, x_t, cond, t):
+def _reference_forward(c: DenoiserSection, p: dict, x_t, cond, t):
     emb = step_embedding(t, c.channels)
     if x_t.data.ndim == 2:
         emb = emb[0]
@@ -245,8 +244,9 @@ def _reference_forward(c: DenoiserConfig, p: dict, x_t, cond, t):
     e = nm.add(nm.matmul(nm.silu(e), p["step.fc2.w"]), p["step.fc2.b"])
     h = nm.relu(nm.add(nm.matmul(x_t, p["in.w"]), p["in.b"]))
     skip_sum = None
-    for i, dil in enumerate(c.dilations()):
+    for i in range(c.layers):
         pre = f"layer{i}"
+        dil = c.dilation_cycle[i % len(c.dilation_cycle)]
         inp = nm.add(h, e)
         f = nm.conv1d_dilated(inp, p[f"{pre}.filter.w"], p[f"{pre}.filter.b"], dilation=dil)
         f = nm.add(f, nm.add(nm.matmul(cond, p[f"{pre}.cond_f.w"]), p[f"{pre}.cond_f.b"]))
@@ -261,7 +261,7 @@ def _reference_forward(c: DenoiserConfig, p: dict, x_t, cond, t):
     return nm.add(nm.matmul(out, p["out.w"]), p["out.b"])
 
 
-def _fuse(c: DenoiserConfig, ref: dict) -> dict:
+def _fuse(c: DenoiserSection, ref: dict) -> dict:
     """Arrays of the unfused layout rearranged into the fused one."""
     cat = np.concatenate
     out = {k: ref[k] for k in ("in.w", "in.b", "step.fc1.w", "step.fc1.b", "step.fc2.w",
@@ -284,9 +284,9 @@ def _fuse(c: DenoiserConfig, ref: dict) -> dict:
 
 def test_matches_unfused_reference(rng):
     # Dilation 4 reaches past a 3-token input, so skipped taps are covered.
-    cfg = DenoiserConfig(channels=8, layers=3, dilation_cycle=(1, 2, 4), cond_dim=6, step_hidden=12)
+    cfg = DenoiserSection(channels=8, layers=3, dilation_cycle=(1, 2, 4), cond_dim=6, step_hidden=12)
     ref = _reference_init(cfg, Rng(5))
-    den = Denoiser.init(cfg, Rng(5))
+    den = Denoiser.init(Config(denoiser=cfg), Rng(5))
     fused_init = _fuse(cfg, {k: v.data for k, v in ref.items()})
     assert list(den.params) == list(fused_init)
     for k, v in fused_init.items():

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import prosody_ddpm.numerics as nm
+from prosody_ddpm.config import Config, DenoiserSection, OptimizerSection
 from prosody_ddpm.data import NormStats, denormalize
-from prosody_ddpm.denoiser import Denoiser, DenoiserConfig
+from prosody_ddpm.denoiser import Denoiser
 from prosody_ddpm.diffusion import (
     forward_diffuse,
     linear_schedule,
@@ -247,8 +248,8 @@ class TestTrainingLoss:
                                 rng.normal((6, 3)), self.sched)
 
     def test_masked_positions_do_not_affect_loss(self, rng):
-        cfg = DenoiserConfig(channels=8, layers=2, dilation_cycle=(1,), cond_dim=4, step_hidden=8)
-        model = Denoiser.init(cfg, rng)
+        cfg = DenoiserSection(channels=8, layers=2, dilation_cycle=(1,), cond_dim=4, step_hidden=8)
+        model = Denoiser.init(Config(denoiser=cfg), rng)
         x0 = rng.normal((2, 5, 3))
         eps = rng.normal((2, 5, 3))
         mask = np.array([[1, 1, 1, 0, 0], [1, 1, 1, 1, 1]], dtype=float)
@@ -257,6 +258,7 @@ class TestTrainingLoss:
         loss1, _ = loss_and_grads(
             lambda: training_loss_graph(model, x0, cond, t, eps, self.sched, mask)
         )
+        assert eps.flags.writeable  # the loss must not adopt the caller's noise
         x0_junk = x0.copy()
         x0_junk[0, 3:] = 123.0
         eps_junk = eps.copy()
@@ -273,8 +275,8 @@ class TestTrainingLoss:
                                 rng.normal((2, 3, 3)), self.sched, np.zeros((2, 3)))
 
     def test_gradients_match_finite_differences(self, rng):
-        cfg = DenoiserConfig(channels=6, layers=2, dilation_cycle=(1, 2), cond_dim=4, step_hidden=8)
-        model = Denoiser.init(cfg, rng)
+        cfg = DenoiserSection(channels=6, layers=2, dilation_cycle=(1, 2), cond_dim=4, step_hidden=8)
+        model = Denoiser.init(Config(denoiser=cfg), rng)
         from conftest import jitter_params
 
         jitter_params(model.params, rng)
@@ -291,14 +293,15 @@ class TestTrainingLoss:
 
 class TestSampling:
     def _trained_point_mass(self):
-        cfg = DenoiserConfig(channels=16, layers=3, dilation_cycle=(1, 2, 4), cond_dim=8, step_hidden=32)
+        cfg = DenoiserSection(channels=16, layers=3, dilation_cycle=(1, 2, 4), cond_dim=8,
+                              step_hidden=32)
         rng = Rng(0)
-        den = Denoiser.init(cfg, rng)
+        den = Denoiser.init(Config(denoiser=cfg), rng)
         sched = linear_schedule(60, 1e-4, 0.3)
         v = np.array([0.4, -0.3, 0.8])
         x0 = np.tile(v, (8, 4, 1))
         cond = Tensor(np.zeros((8, 4, 8)))
-        opt = Adam(lr=2e-3)
+        opt = Adam(OptimizerSection(lr=2e-3))
         for _ in range(1800):
             t = rng.integers(1, 61, 8)
             eps = rng.normal((8, 4, 3))
@@ -314,8 +317,8 @@ class TestSampling:
         assert np.all(rms < 0.1), rms
 
     def test_same_seed_identical_different_seeds_differ(self, rng):
-        cfg = DenoiserConfig(channels=8, layers=2, dilation_cycle=(1, 2), cond_dim=4, step_hidden=8)
-        den = Denoiser.init(cfg, rng)
+        cfg = DenoiserSection(channels=8, layers=2, dilation_cycle=(1, 2), cond_dim=4, step_hidden=8)
+        den = Denoiser.init(Config(denoiser=cfg), rng)
         sched = linear_schedule(25, 1e-3, 0.2)
         cond = Tensor(rng.normal((3, 4)))
         stats = NormStats(np.array([200.0, 1.0, 2.0]), np.array([50.0, 0.3, 0.5]))
@@ -328,8 +331,8 @@ class TestSampling:
         assert not np.array_equal(a.pitch, c.pitch)
 
     def test_sample_output_is_physical(self, rng):
-        cfg = DenoiserConfig(channels=8, layers=2, dilation_cycle=(1, 2), cond_dim=4, step_hidden=8)
-        den = Denoiser.init(cfg, rng)
+        cfg = DenoiserSection(channels=8, layers=2, dilation_cycle=(1, 2), cond_dim=4, step_hidden=8)
+        den = Denoiser.init(Config(denoiser=cfg), rng)
         sched = linear_schedule(25, 1e-3, 0.2)
         cond = Tensor(rng.normal((4, 4)))
         stats = NormStats(np.array([200.0, 1.0, 2.0]), np.array([50.0, 0.3, 0.5]))

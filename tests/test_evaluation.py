@@ -57,13 +57,13 @@ class TestQuantize:
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            quantize([], BinningSpec("pitch", 0.0, 1.0))
+            quantize([], BinningSpec("pitch", 0.0, 1.0, bins=4))
 
     def test_binning_validation(self):
         with pytest.raises(ValueError, match="bins"):
             BinningSpec("pitch", 0.0, 1.0, bins=1)
         with pytest.raises(ValueError, match="range"):
-            BinningSpec("pitch", 1.0, 1.0)
+            BinningSpec("pitch", 1.0, 1.0, bins=4)
 
 
 class TestJsDivergence:

@@ -382,6 +382,7 @@ def test_primitive_outputs_follow_tensor_conventions(name, rng):
         assert type(arr) is np.ndarray and arr.dtype == np.float64
         assert arr.flags.c_contiguous and arr.flags.owndata and not arr.flags.writeable
         assert not any(np.shares_memory(arr, a) for a in writeable)
+    assert all(a.flags.writeable for a in writeable)  # inputs are not adopted
     assert np.array_equal(untaped.data, taped.data)
 
 
@@ -427,8 +428,9 @@ def _loss_and_grads(make_loss, tensors):
 
 
 def test_masked_mse_matches_per_loss_references(rng):
-    from prosody_ddpm.baseline import BaselineConfig, BaselineNet, baseline_loss_graph
-    from prosody_ddpm.denoiser import Denoiser, DenoiserConfig
+    from prosody_ddpm.baseline import BaselineNet, baseline_loss_graph
+    from prosody_ddpm.config import BaselineSection, Config, DenoiserSection
+    from prosody_ddpm.denoiser import Denoiser
     from prosody_ddpm.diffusion import linear_schedule, training_loss_graph
 
     from conftest import jitter_params
@@ -439,8 +441,12 @@ def test_masked_mse_matches_per_loss_references(rng):
     # Junk at padded positions must not reach either loss.
     target[mask == 0] = 7.0
 
-    den = Denoiser.init(DenoiserConfig(channels=6, layers=2, dilation_cycle=(1, 2), cond_dim=4,
-                                       step_hidden=8), rng)
+    cfg = Config(
+        denoiser=DenoiserSection(channels=6, layers=2, dilation_cycle=(1, 2), cond_dim=4,
+                                 step_hidden=8),
+        baseline=BaselineSection(width=6, dropout=0.3),
+    )
+    den = Denoiser.init(cfg, rng)
     jitter_params(den.params, rng)
     sched = linear_schedule(30, 1e-3, 0.2)
     x0, t = rng.normal((3, 5, 3)), np.array([3, 17, 30])
@@ -453,7 +459,7 @@ def test_masked_mse_matches_per_loss_references(rng):
     for k in leaves:
         assert np.array_equal(got[1][k], want[1][k]), k
 
-    net = BaselineNet.init(BaselineConfig(cond_dim=4, width=6, dropout=0.3), rng)
+    net = BaselineNet.init(cfg, rng)
     jitter_params(net.params, rng)
     leaves = {**net.params, "cond": cond}
     for training in (False, True):
