@@ -283,8 +283,9 @@ def _fuse(c: DenoiserSection, ref: dict) -> dict:
 
 
 def test_matches_unfused_reference(rng):
-    # Dilation 4 reaches past a 3-token input, so skipped taps are covered.
-    cfg = DenoiserSection(channels=8, layers=3, dilation_cycle=(1, 2, 4), cond_dim=6, step_hidden=12)
+    # Dilation 4 reaches past a 3-token input, so skipped taps are covered;
+    # the fourth layer wraps around the dilation cycle.
+    cfg = DenoiserSection(channels=8, layers=4, dilation_cycle=(1, 2, 4), cond_dim=6, step_hidden=12)
     ref = _reference_init(cfg, Rng(5))
     den = Denoiser.init(Config(denoiser=cfg), Rng(5))
     fused_init = _fuse(cfg, {k: v.data for k, v in ref.items()})
