@@ -175,6 +175,19 @@ class TestGeneration:
             np.testing.assert_array_equal(a.covs, b.covs)
         np.testing.assert_array_equal(loaded.mean_offset_left, spec.mean_offset_left)
 
+    @pytest.mark.parametrize("name", ["corpus_desk20.tsv", "corpus_biased.tsv"])
+    def test_corpus_matches_golden_file(self, tmp_path, name):
+        # Pins the draw order and the arithmetic of generate_corpus byte for
+        # byte.  The biased spec is the only one with neighbour weight
+        # biases; lengths from 1 cover utterances with no neighbours.
+        if name == "corpus_desk20.tsv":
+            spec = desk_bench_spec(20)
+        else:
+            spec = load_spec(GOLDEN / "spec_biased.json")
+        path = tmp_path / name
+        save_corpus(generate_corpus(spec, 40, (1, 16), Rng(7)), path)
+        assert path.read_bytes() == (GOLDEN / name).read_bytes()
+
     @pytest.mark.parametrize("name", ["spec_desk4.json", "spec_biased.json"])
     def test_spec_matches_golden_file(self, tmp_path, name):
         spec = desk_bench_spec(4) if name == "spec_desk4.json" else biased_spec()
