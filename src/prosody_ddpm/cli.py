@@ -17,6 +17,7 @@ from .checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_check
 from .config import (
     Config,
     ConfigError,
+    DataSection,
     canonical_text,
     config_hash,
     default_config,
@@ -241,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--utterances", type=int, default=3000)
     p.add_argument("--min-len", type=int, default=6)
     p.add_argument("--max-len", type=int, default=16)
-    p.add_argument("--vocab", type=int, default=20)
+    p.add_argument("--vocab", type=int, default=DataSection.vocab_size)
     p.set_defaults(fn=cmd_gen_data)
 
     p = sub.add_parser("train", help="train a predictor (extra --section.key value override config)")

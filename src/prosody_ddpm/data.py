@@ -64,13 +64,13 @@ class ProsodySequence:
         n = len(self.pitch)
         if not (len(self.energy) == len(self.duration) == n) or n < 1:
             raise ValueError("pitch, energy, duration must share one length >= 1")
-        if not (np.all(np.isfinite(self.pitch)) and np.all(np.isfinite(self.energy))):
+        if not (np.isfinite(self.pitch).all() and np.isfinite(self.energy).all()):
             raise ValueError("pitch and energy must be finite")
-        if np.any(self.pitch <= 0.0):
+        if (self.pitch <= 0.0).any():
             raise ValueError("pitch must be > 0 Hz")
-        if np.any(self.energy < 0.0):
+        if (self.energy < 0.0).any():
             raise ValueError("energy must be >= 0")
-        if np.any(self.duration < 1):
+        if (self.duration < 1).any():
             raise ValueError("duration must be >= 1 frame")
 
     def __len__(self) -> int:
@@ -161,9 +161,9 @@ class NormStats:
         return np.array_equal(self.mean, other.mean) and np.array_equal(self.std, other.std)
 
 
-def compute_norm_stats(corpus: Corpus) -> NormStats:
-    """Mean/std of each feature over the train split; zero spread is an error."""
-    rows = [u.prosody.features() for u in corpus.subset("train")]
+def compute_norm_stats(rows: list[np.ndarray]) -> NormStats:
+    """Mean/std of each feature over the train split's ``features()`` rows;
+    zero spread is an error."""
     pooled = np.concatenate(rows, axis=0)
     mean = pooled.mean(axis=0)
     std = pooled.std(axis=0)
@@ -174,9 +174,9 @@ def compute_norm_stats(corpus: Corpus) -> NormStats:
     return NormStats(mean, std)
 
 
-def normalize(prosody: ProsodySequence, stats: NormStats) -> np.ndarray:
-    """Physical prosody to model-space (length, 3) z-scores."""
-    return (prosody.features() - stats.mean) / stats.std
+def normalize(features: np.ndarray, stats: NormStats) -> np.ndarray:
+    """Raw (length, 3) ``ProsodySequence.features()`` rows to model-space z-scores."""
+    return (features - stats.mean) / stats.std
 
 
 def denormalize(x: np.ndarray, stats: NormStats) -> ProsodySequence:
@@ -407,6 +407,24 @@ def desk_bench_spec(vocab_size: int) -> SyntheticSpec:
     )
 
 
+def _mixture_cdf(spec: SyntheticSpec, k: int, left: int | None, right: int | None) -> np.ndarray:
+    """Component CDF of class ``k`` with its left/right neighbour weight
+    biases applied (``None``: no bias), as ``Rng.categorical`` takes it."""
+    cls = spec.classes[k]
+    logw = np.log(cls.weights)
+    if left is not None:
+        logw = logw + cls.weight_bias_left[left]
+    if right is not None:
+        logw = logw + cls.weight_bias_right[right]
+    w = np.exp(logw - logw.max())
+    w /= w.sum()
+    cdf = w.cumsum()
+    cdf /= cdf[-1]
+    if not np.isfinite(cdf).all():
+        raise ValueError(f"class {k}: mixture weights not finite between neighbours {left} and {right}")
+    return cdf
+
+
 def generate_corpus(
     spec: SyntheticSpec,
     n_utterances: int,
@@ -423,25 +441,27 @@ def generate_corpus(
     lo, hi = len_range
     if lo < 1 or hi < lo:
         raise ValueError(f"invalid len_range {len_range}")
-    chols = [[np.linalg.cholesky(c) for c in cls.covs] for cls in spec.classes]
+    chols = [np.linalg.cholesky(cls.covs) for cls in spec.classes]
+    cdfs: dict[tuple[int, int | None, int | None], np.ndarray] = {}
     utterances = []
     for ui in range(n_utterances):
         length = int(rng.integers(lo, hi + 1))
-        ids = rng.integers(0, spec.vocab_size, length)
+        ids = rng.integers(0, spec.vocab_size, length).tolist()
         feats = np.empty((length, 3))
-        for pos in range(length):
-            k = int(ids[pos])
+        for pos, k in enumerate(ids):
             cls = spec.classes[k]
-            logw = np.log(cls.weights)
-            left = int(ids[pos - 1]) if pos > 0 else None
-            right = int(ids[pos + 1]) if pos < length - 1 else None
-            if cls.weight_bias_left is not None and left is not None:
-                logw = logw + cls.weight_bias_left[left]
-            if cls.weight_bias_right is not None and right is not None:
-                logw = logw + cls.weight_bias_right[right]
-            w = np.exp(logw - logw.max())
-            w /= w.sum()
-            comp = rng.choice(len(w), p=w)
+            left = ids[pos - 1] if pos > 0 else None
+            right = ids[pos + 1] if pos < length - 1 else None
+            # A class's CDF depends on a neighbour only through its bias table.
+            key = (
+                k,
+                left if cls.weight_bias_left is not None else None,
+                right if cls.weight_bias_right is not None else None,
+            )
+            cdf = cdfs.get(key)
+            if cdf is None:
+                cdf = cdfs[key] = _mixture_cdf(spec, *key)
+            comp = rng.categorical(cdf)
             x = cls.means[comp] + chols[k][comp] @ rng.normal(3)
             if spec.mean_offset_left is not None and left is not None:
                 x = x + spec.mean_offset_left[left]
@@ -451,7 +471,7 @@ def generate_corpus(
         utterances.append(
             Utterance(
                 utt_id=f"utt{ui:05d}",
-                tokens=TokenSequence(tuple(int(i) for i in ids)),
+                tokens=TokenSequence(tuple(ids)),
                 prosody=_physical(feats),
             )
         )

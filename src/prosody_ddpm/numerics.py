@@ -533,8 +533,13 @@ class Rng:
     def integers(self, low: int, high: int, shape: Sequence[int] | int = ()) -> np.ndarray:
         return self._gen.integers(low, high, size=shape)
 
-    def choice(self, n: int, p: np.ndarray) -> int:
-        return int(self._gen.choice(n, p=p))
+    def categorical(self, cdf: np.ndarray) -> int:
+        """Index drawn by inverse CDF from one uniform.
+
+        ``cdf`` is ``p.cumsum()`` divided by its last entry; the draw and
+        the stream it leaves are those of ``Generator.choice(len(p), p=p)``.
+        """
+        return int(cdf.searchsorted(self._gen.random(), side="right"))
 
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)

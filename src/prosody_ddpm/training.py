@@ -95,13 +95,14 @@ def prepare_corpus(config: Config, corpus: Corpus) -> PreparedCorpus:
         raise ConfigError(
             f"corpus contains token id {max_id} but data.vocab_size is {config.data.vocab_size}"
         )
-    stats = compute_norm_stats(tagged)
     train = tagged.subset("train")
+    rows = [u.prosody.features() for u in train]
+    stats = compute_norm_stats(rows)
     return PreparedCorpus(
         corpus=tagged,
         stats=stats,
         token_ids=[u.tokens.as_array() for u in train],
-        targets=[normalize(u.prosody, stats) for u in train],
+        targets=[normalize(r, stats) for r in rows],
     )
 
 

@@ -7,12 +7,13 @@ import pytest
 
 from prosody_ddpm.checkpoint import load_checkpoint, save_checkpoint
 from prosody_ddpm.cli import main
-from prosody_ddpm.config import default_config
+from prosody_ddpm.config import Config, default_config
 from prosody_ddpm.data import (
     Corpus,
     desk_bench_spec,
     generate_corpus,
     load_corpus,
+    load_spec,
     save_corpus,
     save_spec,
 )
@@ -186,6 +187,11 @@ class TestCommands:
         assert a.read_bytes() == b.read_bytes()
         assert os.path.exists(str(a) + ".spec.json")
         assert len(load_corpus(a)) == 20
+
+    def test_gen_data_vocab_defaults_to_config(self, tmp_path):
+        out = str(tmp_path / "c.tsv")
+        assert main(["gen-data", "--out", out, "--utterances", "3", "--max-len", "6"]) == 0
+        assert load_spec(out + ".spec.json").vocab_size == Config().data.vocab_size
 
     def test_gen_data_zero_utterances(self, tmp_path, capsys):
         rc = main(["gen-data", "--out", str(tmp_path / "x.tsv"), "--utterances", "0"])

@@ -137,6 +137,12 @@ class TestGeneration:
             generate_corpus(spec, 0, (2, 4), Rng(0))
         with pytest.raises(ValueError, match="len_range"):
             generate_corpus(spec, 5, (3, 2), Rng(0))
+        biased = biased_spec()
+        nan_bias = np.array([[np.nan, 0.0], [np.nan, 0.0]])
+        nan_class = dataclasses.replace(biased.classes[0], weight_bias_left=nan_bias)
+        nan_spec = dataclasses.replace(biased, classes=(nan_class, biased.classes[1]))
+        with pytest.raises(ValueError, match="class 0: mixture weights not finite"):
+            generate_corpus(nan_spec, 5, (2, 4), Rng(0))
 
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="sum to 1"):
@@ -215,8 +221,9 @@ class TestNormalization:
 
     def test_train_split_z_scores(self):
         corpus = assign_splits(self._corpus(n=200), seed=3, holdout_fraction=0.05)
-        stats = compute_norm_stats(corpus)
-        pooled = np.concatenate([normalize(u.prosody, stats) for u in corpus.subset("train")])
+        rows = [u.prosody.features() for u in corpus.subset("train")]
+        stats = compute_norm_stats(rows)
+        pooled = np.concatenate([normalize(r, stats) for r in rows])
         np.testing.assert_allclose(pooled.mean(axis=0), 0.0, atol=1e-10)
         np.testing.assert_allclose(pooled.std(axis=0), 1.0, atol=1e-10)
 
@@ -224,7 +231,7 @@ class TestNormalization:
         corpus = self._corpus()
         stats = NormStats(np.array([180.0, 1.1, 2.0]), np.array([40.0, 0.2, 0.5]))
         for u in corpus.utterances:
-            back = denormalize(normalize(u.prosody, stats), stats)
+            back = denormalize(normalize(u.prosody.features(), stats), stats)
             assert np.abs(back.pitch - u.prosody.pitch).max() < 1e-12
             assert np.abs(back.energy - u.prosody.energy).max() < 1e-12
             np.testing.assert_array_equal(back.duration, u.prosody.duration)
@@ -258,7 +265,7 @@ class TestNormalization:
         ]
         corpus = assign_splits(Corpus(utts), seed=0, holdout_fraction=0.05)
         with pytest.raises(ValueError, match="zero variance"):
-            compute_norm_stats(corpus)
+            compute_norm_stats([u.prosody.features() for u in corpus.subset("train")])
 
 
 class TestSplits:

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import prosody_ddpm.numerics as nm
 from prosody_ddpm.numerics import NonFiniteError, Rng, ShapeError, Tape, Tensor
@@ -310,6 +312,23 @@ class TestRng:
         r2 = Rng(999)
         r2.set_state(state)
         np.testing.assert_array_equal(a, r2.normal(5))
+
+    @given(
+        st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)), min_size=1, max_size=8).filter(any),
+        st.integers(0, 2**32),
+    )
+    @example([1.0], 0)
+    @example([0.0, 0.5, 0.0, 0.5, 0.0], 1)
+    @settings(max_examples=200, deadline=None)
+    def test_categorical_matches_generator_choice(self, weights, seed):
+        p = np.array(weights) / sum(weights)
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        r = Rng(seed)
+        gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+        for _ in range(5):
+            assert r.categorical(cdf) == gen.choice(len(p), p=p)
+            assert r.state() == gen.bit_generator.state
 
 
 class TestTensor:
