@@ -64,13 +64,13 @@ class ProsodySequence:
         n = len(self.pitch)
         if not (len(self.energy) == len(self.duration) == n) or n < 1:
             raise ValueError("pitch, energy, duration must share one length >= 1")
-        if not (np.isfinite(self.pitch).all() and np.isfinite(self.energy).all()):
+        if not (np.all(np.isfinite(self.pitch)) and np.all(np.isfinite(self.energy))):
             raise ValueError("pitch and energy must be finite")
-        if (self.pitch <= 0.0).any():
+        if np.any(self.pitch <= 0.0):
             raise ValueError("pitch must be > 0 Hz")
-        if (self.energy < 0.0).any():
+        if np.any(self.energy < 0.0):
             raise ValueError("energy must be >= 0")
-        if (self.duration < 1).any():
+        if np.any(self.duration < 1):
             raise ValueError("duration must be >= 1 frame")
 
     def __len__(self) -> int:

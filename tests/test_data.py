@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prosody_ddpm.config import Config, DataSection
 from prosody_ddpm.data import (
     MAX_FRAMES,
     ClassSpec,
@@ -30,6 +31,7 @@ from prosody_ddpm.data import (
     save_spec,
 )
 from prosody_ddpm.numerics import Rng
+from prosody_ddpm.training import prepare_corpus
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -220,12 +222,20 @@ class TestNormalization:
         return generate_corpus(desk_bench_spec(6), n, (3, 9), Rng(seed))
 
     def test_train_split_z_scores(self):
-        corpus = assign_splits(self._corpus(n=200), seed=3, holdout_fraction=0.05)
-        rows = [u.prosody.features() for u in corpus.subset("train")]
-        stats = compute_norm_stats(rows)
-        pooled = np.concatenate([normalize(r, stats) for r in rows])
+        # prepare_corpus must pool only the train split: its targets are exact
+        # z-scores, and its stats differ from those over every utterance.
+        corpus = self._corpus(n=200)
+        config = Config(data=DataSection(split_seed=3, holdout_fraction=0.05))
+        prep = prepare_corpus(config, corpus)
+        n_train = len(prep.corpus.subset("train"))
+        assert 0 < n_train < len(corpus.utterances)
+        assert len(prep.targets) == n_train
+        pooled = np.concatenate(prep.targets)
         np.testing.assert_allclose(pooled.mean(axis=0), 0.0, atol=1e-10)
         np.testing.assert_allclose(pooled.std(axis=0), 1.0, atol=1e-10)
+        every = compute_norm_stats([u.prosody.features() for u in corpus.utterances])
+        assert not np.array_equal(prep.stats.mean, every.mean)
+        assert not np.array_equal(prep.stats.std, every.std)
 
     def test_roundtrip_identity(self):
         corpus = self._corpus()
