@@ -54,10 +54,10 @@ class Checkpoint:
     opt_v: dict[str, np.ndarray] = field(default_factory=dict)
 
 
-def _pack_str(out: list[bytes], s: str, width: str = "<I") -> None:
+def _pack_str(write, s: str, width: str = "<I") -> None:
     raw = s.encode("utf-8")
-    out.append(struct.pack(width, len(raw)))
-    out.append(raw)
+    write(struct.pack(width, len(raw)))
+    write(raw)
 
 
 class _Reader:
@@ -82,11 +82,11 @@ class _Reader:
         return np.frombuffer(self.take(count * 8), dtype="<f8").astype(np.float64)
 
 
-def _pack_array(out: list[bytes], arr: np.ndarray) -> None:
-    out.append(struct.pack("<B", arr.ndim))
+def _pack_array(write, arr: np.ndarray) -> None:
+    write(struct.pack("<B", arr.ndim))
     for d in arr.shape:
-        out.append(struct.pack("<I", d))
-    out.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        write(struct.pack("<I", d))
+    write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
 def _read_array(r: _Reader) -> np.ndarray:
@@ -96,38 +96,43 @@ def _read_array(r: _Reader) -> np.ndarray:
     return r.f64(n).reshape(shape)
 
 
-def save_checkpoint(ck: Checkpoint, path) -> None:
-    if ck.kind not in KINDS:
-        raise CheckpointError(f"unknown model kind {ck.kind!r}")
-    out: list[bytes] = [MAGIC, struct.pack("<I", VERSION)]
-    _pack_str(out, ck.kind, "<H")
-    _pack_str(out, canonical_text(ck.config), "<Q")
-    out.append(struct.pack("<Q", ck.step))
-    _pack_str(out, ck.rng_algorithm, "<H")
-    _pack_str(out, ck.rng_seed_json)
-    _pack_str(out, ck.rng_state_json)
-    out.append(np.ascontiguousarray(ck.stats.mean, dtype="<f8").tobytes())
-    out.append(np.ascontiguousarray(ck.stats.std, dtype="<f8").tobytes())
-    out.append(struct.pack("<I", len(ck.params)))
+def _write_checkpoint(ck: Checkpoint, write) -> None:
+    """Pass the checkpoint's bytes to ``write`` piece by piece, in file order."""
+    write(MAGIC)
+    write(struct.pack("<I", VERSION))
+    _pack_str(write, ck.kind, "<H")
+    _pack_str(write, canonical_text(ck.config), "<Q")
+    write(struct.pack("<Q", ck.step))
+    _pack_str(write, ck.rng_algorithm, "<H")
+    _pack_str(write, ck.rng_seed_json)
+    _pack_str(write, ck.rng_state_json)
+    write(np.ascontiguousarray(ck.stats.mean, dtype="<f8").tobytes())
+    write(np.ascontiguousarray(ck.stats.std, dtype="<f8").tobytes())
+    write(struct.pack("<I", len(ck.params)))
     for name, p in ck.params.items():
-        _pack_str(out, name, "<H")
-        _pack_array(out, p.data)
+        _pack_str(write, name, "<H")
+        _pack_array(write, p.data)
     has_opt = 1 if ck.opt_m else 0
-    out.append(struct.pack("<B", has_opt))
+    write(struct.pack("<B", has_opt))
     if has_opt:
-        out.append(struct.pack("<Q", ck.opt_t))
+        write(struct.pack("<Q", ck.opt_t))
         for name in ck.params:
             m = ck.opt_m.get(name)
             if m is None:
-                out.append(struct.pack("<B", 0))
+                write(struct.pack("<B", 0))
             else:
-                out.append(struct.pack("<B", 1))
-                _pack_array(out, m)
-                _pack_array(out, ck.opt_v[name])
+                write(struct.pack("<B", 1))
+                _pack_array(write, m)
+                _pack_array(write, ck.opt_v[name])
+
+
+def save_checkpoint(ck: Checkpoint, path) -> None:
+    if ck.kind not in KINDS:
+        raise CheckpointError(f"unknown model kind {ck.kind!r}")
     tmp = f"{os.fspath(path)}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(b"".join(out))
+            _write_checkpoint(ck, fh.write)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -331,6 +332,18 @@ class SyntheticSpec:
             if off is not None and off.shape != (self.vocab_size, 3):
                 raise ValueError(f"{side} mean offsets must be (vocab, 3)")
 
+    # Draw tables shared by every generate_corpus call on this spec.
+    @cached_property
+    def _chols(self) -> list[np.ndarray]:
+        """Per class, the Cholesky factors of its component covariances."""
+        return [np.linalg.cholesky(cls.covs) for cls in self.classes]
+
+    @cached_property
+    def _cdfs(self) -> dict[tuple[int, int | None, int | None], np.ndarray]:
+        """Mixture CDFs keyed as in generate_corpus, each built at the first
+        draw that needs it."""
+        return {}
+
 
 def save_spec(spec: SyntheticSpec, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
@@ -441,8 +454,7 @@ def generate_corpus(
     lo, hi = len_range
     if lo < 1 or hi < lo:
         raise ValueError(f"invalid len_range {len_range}")
-    chols = [np.linalg.cholesky(cls.covs) for cls in spec.classes]
-    cdfs: dict[tuple[int, int | None, int | None], np.ndarray] = {}
+    chols, cdfs = spec._chols, spec._cdfs
     utterances = []
     for ui in range(n_utterances):
         length = int(rng.integers(lo, hi + 1))

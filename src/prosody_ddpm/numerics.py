@@ -150,10 +150,12 @@ def _emit(op: str, out_data: np.ndarray, backward_fn: _BackwardFn) -> Tensor:
 
 
 class Gradients:
-    """Gradient map keyed by tensor identity.
+    """Gradients of the leaves of one reverse sweep, keyed by tensor identity.
 
-    Tensors that did not contribute to the loss get zero gradients of the
-    matching shape.
+    Leaves are the tensors no record on the tape produced: parameters and
+    inputs.  Intermediate tensors are not kept, and like tensors that did
+    not contribute to the loss they get zero gradients of the matching
+    shape.
     """
 
     def __init__(self, accum: dict[int, tuple[Tensor, np.ndarray]]):
@@ -169,8 +171,12 @@ class Gradients:
 def backward(tape: Tape, loss: Tensor) -> Gradients:
     """Reverse sweep over ``tape`` from scalar ``loss``.
 
-    Returns gradients for every tensor reachable from the loss; a NaN/Inf
-    gradient aborts with the primitive that produced it.
+    Returns the gradients of the leaves reachable from the loss; a NaN/Inf
+    gradient aborts with the primitive that produced it.  Every consumer of
+    a tensor was recorded after its producer, so when the producer's record
+    is played back the tensor's gradient is complete and is dropped once
+    passed on: the sweep holds only the gradients still being summed.  The
+    tape is left as it was.
     """
     if loss.data.shape != ():
         raise ShapeError("backward", f"loss must be scalar, got shape {loss.data.shape}")
@@ -178,7 +184,7 @@ def backward(tape: Tape, loss: Tensor) -> Gradients:
         id(loss): (loss, np.ones((), dtype=np.float64))
     }
     for op, out, backward_fn in reversed(tape.records):
-        entry = accum.get(id(out))
+        entry = accum.pop(id(out), None)
         if entry is None:
             continue
         dout = entry[1]

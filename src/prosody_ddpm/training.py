@@ -139,6 +139,24 @@ def make_checkpoint(
     )
 
 
+def _loss_and_grads(model: TrainableModel, kind: str, sched, rng: Rng, ids, x0, mask):
+    """One step's loss and leaf gradients.
+
+    The step's tape and the forward values it holds are freed on return,
+    before the optimizer allocates its temporaries.
+    """
+    m3 = Tensor(mask[..., None])
+    with Tape() as tape:
+        cvec = nm.mul(model.cond.forward(ids), m3)
+        if kind == "ddpm":
+            t = rng.integers(1, sched.steps + 1, len(ids))
+            eps = rng.normal(x0.shape)
+            loss = diffusion.training_loss_graph(model.net, x0, cvec, t, eps, sched, mask)
+        else:
+            loss = baseline_loss_graph(model.net, cvec, x0, mask, rng=rng, training=True)
+    return loss, nm.backward(tape, loss)
+
+
 def train_model(
     config: Config,
     corpus: Corpus,
@@ -194,21 +212,13 @@ def train_model(
     while step < total_steps:
         idxs = rng.integers(0, n_train, batch)
         ids, x0, mask = _assemble_batch(prep, idxs)
-        m3 = Tensor(mask[..., None])
         # Primitives check their outputs: a non-finite loss or gradient raises here.
         try:
-            with Tape() as tape:
-                cvec = nm.mul(model.cond.forward(ids), m3)
-                if kind == "ddpm":
-                    t = rng.integers(1, sched.steps + 1, batch)
-                    eps = rng.normal(x0.shape)
-                    loss = diffusion.training_loss_graph(model.net, x0, cvec, t, eps, sched, mask)
-                else:
-                    loss = baseline_loss_graph(model.net, cvec, x0, mask, rng=rng, training=True)
-            grads = nm.backward(tape, loss)
+            loss, grads = _loss_and_grads(model, kind, sched, rng, ids, x0, mask)
         except nm.NonFiniteError as e:
             raise TrainingDiverged(step + 1) from e
         model.replace_params(optimizer.step(model.params, grads, frozen))
+        del grads  # not held through the next step's forward and backward
         step += 1
         if step % config.train.log_every == 0 or step == total_steps:
             log.append((step, loss.item()))

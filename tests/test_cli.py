@@ -162,6 +162,50 @@ class TestTrainModel:
         assert ck.kind == "baseline"
         assert any(k.startswith("pitch.") for k in ck.params)
 
+    @pytest.mark.parametrize("kind", ["ddpm", "baseline"])
+    def test_step_memory_backward_and_tape_lifetime(self, kind, tiny_corpus, monkeypatch):
+        # tracemalloc counts numpy's buffers too, and a seeded step makes the
+        # same allocations on every run, so these levels are exact.
+        import tracemalloc
+        import weakref
+
+        import prosody_ddpm.numerics as nm
+        from prosody_ddpm.optim import Adam
+
+        enter, backward, step = nm.Tape.__enter__, nm.backward, Adam.step
+        seen: dict = {"tape_alive_at_adam": []}
+
+        def traced_enter(tape):
+            seen["start"] = tracemalloc.get_traced_memory()[0]
+            return enter(tape)
+
+        def traced_backward(tape, loss):
+            seen["tape"] = weakref.ref(tape)
+            seen["forward"] = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            grads = backward(tape, loss)
+            seen["backward_peak"] = tracemalloc.get_traced_memory()[1]
+            return grads
+
+        def traced_step(optimizer, *args, **kwargs):
+            seen["tape_alive_at_adam"].append(seen["tape"]() is not None)
+            return step(optimizer, *args, **kwargs)
+
+        monkeypatch.setattr(nm.Tape, "__enter__", traced_enter)
+        monkeypatch.setattr(nm, "backward", traced_backward)
+        monkeypatch.setattr(Adam, "step", traced_step)
+        cfg = tiny_config(("train.steps", "2"), ("optimizer.batch_size", "16"))
+        tracemalloc.start()
+        try:
+            train_model(cfg, tiny_corpus, kind)
+        finally:
+            tracemalloc.stop()
+        # The levels are those of the second step, when Adam's moments exist.
+        forward = seen["forward"] - seen["start"]
+        added = seen["backward_peak"] - seen["forward"]
+        assert added < 0.6 * forward
+        assert seen["tape_alive_at_adam"] == [False, False]
+
     def test_frozen_condition_encoder(self, tiny_corpus, tmp_path):
         donor, _ = train_model(tiny_config(("train.steps", "8")), tiny_corpus, "baseline")
         donor_path = tmp_path / "donor.bin"

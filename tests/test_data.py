@@ -129,6 +129,28 @@ class TestGeneration:
             assert u.prosody.pitch[0] == pytest.approx(200.0, abs=1e-3)  # no left neighbor
             assert u.prosody.pitch[1] == pytest.approx(205.0, abs=1e-3)
 
+    def test_reused_spec_draws_like_a_fresh_one(self):
+        # A spec keeps its draw tables between calls; they change no corpus.
+        spec = biased_spec()
+        generate_corpus(spec, 30, (1, 12), Rng(1))
+        again = generate_corpus(spec, 30, (1, 12), Rng(2))
+        fresh = generate_corpus(biased_spec(), 30, (1, 12), Rng(2))
+        for a, b in zip(again.utterances, fresh.utterances, strict=True):
+            assert a.tokens == b.tokens
+            np.testing.assert_array_equal(a.prosody.features(), b.prosody.features())
+
+    def test_non_finite_neighbour_weights_raise_at_first_draw(self):
+        spec = biased_spec()
+        cls = dataclasses.replace(
+            spec.classes[0], weight_bias_left=np.array([[0.0, 0.0], [np.nan, 0.0]])
+        )
+        bad = SyntheticSpec(vocab_size=2, classes=(cls, spec.classes[1]))
+        generate_corpus(bad, 20, (1, 1), Rng(0))  # no neighbours: no biased weights drawn
+        message = "class 0: mixture weights not finite between neighbours 1 "
+        for _ in range(2):  # the failed CDF is not kept
+            with pytest.raises(ValueError, match=message):
+                generate_corpus(bad, 20, (2, 8), Rng(0))
+
     def test_len_range_degenerate(self):
         corpus = generate_corpus(single_class_spec([200, 1, 2], [1, 0.1, 0.1]), 20, (1, 1), Rng(0))
         assert all(len(u.tokens) == 1 for u in corpus.utterances)

@@ -132,6 +132,26 @@ class TestBackward:
         with pytest.raises(ShapeError, match="scalar"):
             nm.backward(tape, y)
 
+    def test_gradients_keep_leaves_only(self, rng):
+        # The leaf w feeds two primitives and the intermediate h is read by
+        # two; only the leaves keep gradients, and the sweep leaves the tape
+        # as it was.
+        tensors = {"w": Tensor(rng.normal((3, 4))), "x": Tensor(rng.normal((2, 3)))}
+
+        def loss_fn(p):
+            h = nm.tanh(nm.matmul(p["x"], p["w"]))
+            return nm.add(nm.mean(nm.mul(h, nm.sigmoid(h))), nm.sum(nm.mul(p["w"], 0.1)))
+
+        with Tape() as tape:
+            loss = loss_fn(tensors)
+        recorded = list(tape.records)
+        h = recorded[1][1]
+        grads = nm.backward(tape, loss)
+        assert tape.records == recorded
+        assert set(grads._accum) == {id(tensors["w"]), id(tensors["x"])}
+        np.testing.assert_array_equal(grads.wrt(h), np.zeros(h.shape))
+        fd_check(loss_fn, tensors)
+
     def test_two_layer_network_finite_differences(self, rng):
         # Random 2-layer network; every parameter checked against central
         # differences.
