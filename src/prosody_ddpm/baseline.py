@@ -26,7 +26,7 @@ class BaselineNet:
         self.params = params
 
     @classmethod
-    def init(cls, config: Config, rng: Rng) -> "BaselineNet":
+    def init(cls, config: Config, rng: Rng | None) -> "BaselineNet":
         k, w = config.baseline.kernel_size, config.baseline.width
         cond_dim = config.denoiser.cond_dim
         params: dict[str, Tensor] = {}

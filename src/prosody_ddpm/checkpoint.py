@@ -4,17 +4,17 @@ Layout (all integers little-endian):
 
 * magic ``PPCK``, u32 format version,
 * model kind, canonical config snapshot, training-step counter,
-* RNG identity (algorithm, seed, full generator state as JSON),
+* full generator state as JSON (the seed is ``train.seed`` in the config),
 * normalization statistics (3 means + 3 stds as f64),
 * named parameter blobs with shape prefixes, f64 little-endian,
-* optional optimizer state (step count plus per-parameter moment blobs).
+* optional optimizer state: the step count, then both moment blobs of
+  every parameter in parameter order (absent only before the first step).
 
 Save -> load -> save is byte-identical; parameter order is preserved.
-Version 2 holds the fused denoiser layout (one filter+gate conv and one
-condition projection per layer, one skip projection); version 1 files
-name the unfused parameters and are rejected.  A save writes a sibling
-temporary file and renames it over the target, so a write that fails
-partway leaves the previous checkpoint intact.
+Files of earlier versions are rejected: their config snapshots hold
+keys this version no longer knows.  A save writes a sibling temporary
+file and renames it over the target, so a write that fails partway
+leaves the previous checkpoint intact.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .data import NormStats
 from .numerics import Tensor
 
 MAGIC = b"PPCK"
-VERSION = 2
+VERSION = 3
 KINDS = ("ddpm", "baseline")
 
 
@@ -46,8 +46,6 @@ class Checkpoint:
     step: int
     params: dict[str, Tensor]
     stats: NormStats
-    rng_algorithm: str = "pcg64"
-    rng_seed_json: str = "0"
     rng_state_json: str = ""
     opt_t: int = 0
     opt_m: dict[str, np.ndarray] = field(default_factory=dict)
@@ -103,8 +101,6 @@ def _write_checkpoint(ck: Checkpoint, write) -> None:
     _pack_str(write, ck.kind, "<H")
     _pack_str(write, canonical_text(ck.config), "<Q")
     write(struct.pack("<Q", ck.step))
-    _pack_str(write, ck.rng_algorithm, "<H")
-    _pack_str(write, ck.rng_seed_json)
     _pack_str(write, ck.rng_state_json)
     write(np.ascontiguousarray(ck.stats.mean, dtype="<f8").tobytes())
     write(np.ascontiguousarray(ck.stats.std, dtype="<f8").tobytes())
@@ -117,13 +113,8 @@ def _write_checkpoint(ck: Checkpoint, write) -> None:
     if has_opt:
         write(struct.pack("<Q", ck.opt_t))
         for name in ck.params:
-            m = ck.opt_m.get(name)
-            if m is None:
-                write(struct.pack("<B", 0))
-            else:
-                write(struct.pack("<B", 1))
-                _pack_array(write, m)
-                _pack_array(write, ck.opt_v[name])
+            _pack_array(write, ck.opt_m[name])
+            _pack_array(write, ck.opt_v[name])
 
 
 def save_checkpoint(ck: Checkpoint, path) -> None:
@@ -146,9 +137,9 @@ def load_checkpoint(path) -> Checkpoint:
     if r.take(4) != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
     version = r.u("<I")
-    if version == 1:
+    if version < VERSION:
         raise CheckpointError(
-            f"{path}: checkpoint format v1 predates the fused denoiser layout (v2); retrain"
+            f"{path}: checkpoint format v{version} is older than v{VERSION}; retrain"
         )
     if version != VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
@@ -157,8 +148,6 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError(f"{path}: unknown model kind {kind!r}")
     config = parse_config(r.s("<Q"))
     step = r.u("<Q")
-    rng_algorithm = r.s("<H")
-    rng_seed_json = r.s()
     rng_state_json = r.s()
     stats = NormStats(r.f64(3), r.f64(3))
     if not (np.all(np.isfinite(stats.mean)) and np.all(np.isfinite(stats.std) & (stats.std > 0))):
@@ -184,9 +173,8 @@ def load_checkpoint(path) -> Checkpoint:
     if r.u("<B"):
         opt_t = r.u("<Q")
         for name in params:
-            if r.u("<B"):
-                opt_m[name] = finite("first moment of", name)
-                opt_v[name] = finite("second moment of", name)
+            opt_m[name] = finite("first moment of", name)
+            opt_v[name] = finite("second moment of", name)
     if r.pos != len(r.buf):
         raise CheckpointError(f"{path}: {len(r.buf) - r.pos} trailing bytes after the checkpoint")
     return Checkpoint(
@@ -195,8 +183,6 @@ def load_checkpoint(path) -> Checkpoint:
         step=step,
         params=params,
         stats=stats,
-        rng_algorithm=rng_algorithm,
-        rng_seed_json=rng_seed_json,
         rng_state_json=rng_state_json,
         opt_t=opt_t,
         opt_m=opt_m,

@@ -39,10 +39,6 @@ class DenoiserSection:
 class ConditionSection:
     embed_dim: int = 64
     hidden: int = 256
-    # Optional checkpoint to borrow the condition encoder from; ``freeze``
-    # then keeps it out of the optimizer.
-    init_from: str = ""
-    freeze: bool = False
 
 
 @dataclass
@@ -104,13 +100,6 @@ def _parse_value(section: str, key: str, text: str, default):
     kind = type(default)
     text = text.strip()
     try:
-        if kind is bool:
-            low = text.lower()
-            if low in ("true", "1", "yes", "on"):
-                return True
-            if low in ("false", "0", "no", "off"):
-                return False
-            raise ValueError(f"not a boolean: {text!r}")
         if kind is int:
             return int(text)
         if kind is float:
@@ -216,8 +205,6 @@ def validate(config: Config) -> None:
 def _format_value(v) -> str:
     if isinstance(v, tuple):
         return ",".join(str(x) for x in v)
-    if isinstance(v, bool):
-        return "true" if v else "false"
     if isinstance(v, float):
         return repr(v)
     return str(v)

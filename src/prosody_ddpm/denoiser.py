@@ -51,7 +51,7 @@ class ConditionEncoder:
         self.params = params
 
     @classmethod
-    def init(cls, config: Config, rng: Rng) -> "ConditionEncoder":
+    def init(cls, config: Config, rng: Rng | None) -> "ConditionEncoder":
         """Sizes come from ``[condition]``, ``data.vocab_size`` and
         ``denoiser.cond_dim`` (the width every network reads)."""
         c, k = config.condition, _COND_KERNEL
@@ -105,7 +105,7 @@ class Denoiser:
         self.params = params
 
     @classmethod
-    def init(cls, config: Config, rng: Rng) -> "Denoiser":
+    def init(cls, config: Config, rng: Rng | None) -> "Denoiser":
         """Sizes come from ``[denoiser]``."""
         c = config.denoiser
         ch, k, f = c.channels, c.kernel_size, len(DIM_NAMES)

@@ -518,13 +518,11 @@ def masked_mse(pred: Tensor, target, mask, op: str) -> Tensor:
 
 
 class Rng:
-    """Seedable PCG64 stream with a recordable (name, seed, state) identity.
+    """Seedable PCG64 stream with a recordable state.
 
     PCG64 carries 128-bit state; identical seeds give identical draw
     sequences on the same build.
     """
-
-    algorithm = "pcg64"
 
     def __init__(self, seed: int | tuple[int, ...]):
         self.seed = seed
@@ -562,7 +560,10 @@ class Rng:
 # --------------------------------------------------------------------------
 
 
-def uniform_fanin(rng: Rng, shape: tuple[int, ...], fan_in: int) -> Tensor:
-    """Centered uniform init with bound ``1/sqrt(fan_in)``."""
+def uniform_fanin(rng: Rng | None, shape: tuple[int, ...], fan_in: int) -> Tensor:
+    """Centered uniform init with bound ``1/sqrt(fan_in)``; zeros, drawing
+    nothing, when ``rng`` is None."""
+    if rng is None:
+        return zeros(shape)
     bound = 1.0 / np.sqrt(max(fan_in, 1))
     return Tensor(rng.uniform(shape) * 2.0 * bound - bound, _checked_op=None)

@@ -20,12 +20,7 @@ class Adam:
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
 
-    def step(
-        self,
-        params: dict[str, Tensor],
-        grads: Gradients,
-        frozen: frozenset[str] = frozenset(),
-    ) -> dict[str, Tensor]:
+    def step(self, params: dict[str, Tensor], grads: Gradients) -> dict[str, Tensor]:
         """One update; returns the new parameter dict (same key order)."""
         c = self.config
         self.t += 1
@@ -33,9 +28,6 @@ class Adam:
         bc2 = 1.0 - c.beta2**self.t
         out: dict[str, Tensor] = {}
         for name, p in params.items():
-            if name in frozen:
-                out[name] = p
-                continue
             g = grads.wrt(p)
             m = self.m.get(name)
             if m is None:
@@ -56,6 +48,5 @@ class Adam:
     def load_state(self, t: int, rows: list[tuple[str, np.ndarray, np.ndarray]]) -> None:
         self.t = t
         for name, m, v in rows:
-            if m.size:
-                self.m[name] = m.copy()
-                self.v[name] = v.copy()
+            self.m[name] = m.copy()
+            self.v[name] = v.copy()

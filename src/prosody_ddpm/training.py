@@ -18,7 +18,7 @@ import numpy as np
 
 from . import diffusion, numerics as nm
 from .baseline import BaselineNet, baseline_loss_graph
-from .checkpoint import Checkpoint, load_checkpoint, rng_state_to_json
+from .checkpoint import Checkpoint, rng_state_to_json
 from .config import Config, ConfigError, canonical_text
 from .data import Corpus, NormStats, assign_splits, compute_norm_stats, normalize
 from .denoiser import ConditionEncoder, Denoiser
@@ -55,8 +55,9 @@ class TrainableModel:
         self.net.params = {k: new[k] for k in self.net.params}
 
 
-def init_model(config: Config, kind: str, rng: Rng) -> TrainableModel:
-    """Draw the condition encoder, then the network, from ``rng``."""
+def init_model(config: Config, kind: str, rng: Rng | None) -> TrainableModel:
+    """Draw the condition encoder, then the network, from ``rng``; with
+    ``rng=None`` nothing is drawn and every weight is zero."""
     nets = {"ddpm": Denoiser, "baseline": BaselineNet}
     if kind not in nets:
         raise ValueError(f"unknown model kind {kind!r}")
@@ -64,18 +65,17 @@ def init_model(config: Config, kind: str, rng: Rng) -> TrainableModel:
     return TrainableModel(kind=kind, cond=cond, net=nets[kind].init(config, rng))
 
 
-def _check_params(given: dict[str, Tensor], expected: dict[str, Tensor], what: str) -> None:
-    """Raise unless ``given`` holds exactly the names and shapes of ``expected``."""
-    if set(given) != set(expected):
-        raise ConfigError(f"{what}: parameter names do not match")
-    for k, p in expected.items():
-        if given[k].shape != p.shape:
-            raise ConfigError(f"{what}: parameter {k!r} has shape {given[k].shape}, not {p.shape}")
-
-
 def model_from_checkpoint(ck: Checkpoint) -> TrainableModel:
-    model = init_model(ck.config, ck.kind, Rng(0))
-    _check_params(ck.params, model.params, "checkpoint does not match its config topology")
+    """The checkpoint's model; its parameters must have the names and shapes
+    its stored config gives."""
+    model = init_model(ck.config, ck.kind, None)
+    what = "checkpoint does not match its config topology"
+    if set(ck.params) != set(model.params):
+        raise ConfigError(f"{what}: parameter names do not match")
+    for k, p in model.params.items():
+        got = ck.params[k].shape
+        if got != p.shape:
+            raise ConfigError(f"{what}: parameter {k!r} has shape {got}, not {p.shape}")
     model.replace_params(ck.params)
     return model
 
@@ -129,8 +129,6 @@ def make_checkpoint(
         step=step,
         params=model.params,
         stats=stats,
-        rng_algorithm=rng.algorithm,
-        rng_seed_json=json.dumps(config.train.seed),
         rng_state_json=rng_state_to_json(rng.state()),
         opt_t=optimizer.t,
         # Moment buffers are updated in place by Adam; snapshot copies.
@@ -176,7 +174,6 @@ def train_model(
     sched = schedule_from_config(config) if kind == "ddpm" else None
     total_steps = config.train.steps if steps is None else steps
     optimizer = Adam(config.optimizer)
-    frozen: frozenset[str] = frozenset()
 
     if resume is not None:
         if resume.kind != kind:
@@ -197,13 +194,6 @@ def train_model(
         model = init_model(config, kind, rng)
         start_step = 0
 
-    if config.condition.init_from:
-        donor = load_checkpoint(config.condition.init_from)
-        if resume is None:
-            _adopt_condition(model, donor, prep.stats)
-        if config.condition.freeze:
-            frozen = frozenset(model.cond.params)
-
     log: list[tuple[int, float]] = []
     batch = config.optimizer.batch_size
     n_train = len(prep.token_ids)
@@ -217,7 +207,7 @@ def train_model(
             loss, grads = _loss_and_grads(model, kind, sched, rng, ids, x0, mask)
         except nm.NonFiniteError as e:
             raise TrainingDiverged(step + 1) from e
-        model.replace_params(optimizer.step(model.params, grads, frozen))
+        model.replace_params(optimizer.step(model.params, grads))
         del grads  # not held through the next step's forward and backward
         step += 1
         if step % config.train.log_every == 0 or step == total_steps:
@@ -232,14 +222,3 @@ def train_model(
     if on_checkpoint is not None:
         on_checkpoint(final)
     return final, log
-
-
-def _adopt_condition(model: TrainableModel, donor: Checkpoint, stats: NormStats) -> None:
-    donor_cond = {k: v for k, v in donor.params.items() if k.startswith("cond.")}
-    what = "condition.init_from checkpoint has an incompatible condition encoder"
-    _check_params(donor_cond, model.cond.params, what)
-    if not donor.stats.equals(stats):
-        raise ConfigError(
-            "condition.init_from checkpoint was trained on different normalization statistics"
-        )
-    model.cond.params = {k: donor_cond[k] for k in model.cond.params}

@@ -31,7 +31,7 @@ from prosody_ddpm.config import (
 )
 from prosody_ddpm.data import NormStats
 from prosody_ddpm.numerics import Rng, Tensor
-from prosody_ddpm.training import init_model
+from prosody_ddpm.training import init_model, model_from_checkpoint
 
 from conftest import jitter_params
 
@@ -52,12 +52,10 @@ class TestConfig:
         c = parse_config(
             "[schedule]\nsteps = 100\nbeta_end = 0.2\n"
             "[denoiser]\ndilation_cycle = 1, 2, 4\n"
-            "[condition]\nfreeze = true\n"
         )
         assert c.schedule.steps == 100
         assert c.schedule.beta_end == 0.2
         assert c.denoiser.dilation_cycle == (1, 2, 4)
-        assert c.condition.freeze is True
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError, match="unknown section"):
@@ -70,8 +68,6 @@ class TestConfig:
     def test_type_errors(self):
         with pytest.raises(ConfigError, match="steps"):
             parse_config("[schedule]\nsteps = ten\n")
-        with pytest.raises(ConfigError, match="freeze"):
-            parse_config("[condition]\nfreeze = maybe\n")
 
     def test_overrides(self):
         c = parse_config("[train]\nsteps = 5\n", overrides=[("train.steps", "9"), ("eval.bins", "32")])
@@ -179,6 +175,26 @@ def test_every_model_key_reaches_the_model(section, key):
         assert shapes != other_shapes or not np.array_equal(out, other_out), (kind, section, key)
 
 
+@pytest.mark.parametrize("kind", ["ddpm", "baseline"])
+def test_model_from_checkpoint_draws_nothing(kind, monkeypatch):
+    params = init_model(SMALL, kind, Rng(0)).params
+    stats = NormStats(np.zeros(3), np.ones(3))
+    ck = Checkpoint(kind=kind, config=SMALL, step=0, params=params, stats=stats)
+
+    def no_draw(self, shape=()):
+        raise AssertionError("a random draw while loading a checkpoint")
+
+    monkeypatch.setattr(Rng, "uniform", no_draw)
+    loaded = model_from_checkpoint(ck).params
+    assert list(loaded) == list(params)
+    assert all(loaded[k] is p for k, p in params.items())
+    name = next(k for k, p in params.items() if p.data.ndim == 2)
+    shape = (params[name].shape[0] + 1, params[name].shape[1])
+    ck.params = {**params, name: Tensor(np.zeros(shape))}
+    with pytest.raises(ConfigError, match=re.escape(f"parameter {name!r} has shape {shape}")):
+        model_from_checkpoint(ck)
+
+
 def _dummy_checkpoint() -> Checkpoint:
     rng = Rng(9)
     params = {
@@ -192,7 +208,6 @@ def _dummy_checkpoint() -> Checkpoint:
         step=7,
         params=params,
         stats=NormStats(np.array([1.0, 2.0, 3.0]), np.array([4.0, 5.0, 6.0])),
-        rng_seed_json="123",
         rng_state_json=rng_state_to_json(rng.state()),
         opt_t=5,
         opt_m={k: np.full(p.shape, 0.5) for k, p in params.items()},
@@ -261,12 +276,14 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="7 trailing bytes"):
             load_checkpoint(path)
 
-    def test_version_1_rejected_as_unfused_layout(self, tmp_path):
-        path = tmp_path / "v1.bin"
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_older_versions_rejected(self, version, tmp_path):
+        path = tmp_path / f"v{version}.bin"
         save_checkpoint(_dummy_checkpoint(), path)
         data = path.read_bytes()
-        path.write_bytes(data[:4] + struct.pack("<I", 1) + data[8:])
-        with pytest.raises(CheckpointError, match="v1 predates the fused"):
+        path.write_bytes(data[:4] + struct.pack("<I", version) + data[8:])
+        message = f"{path}: checkpoint format v{version} is older than v3; retrain"
+        with pytest.raises(CheckpointError, match=re.escape(message)):
             load_checkpoint(path)
 
     def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):

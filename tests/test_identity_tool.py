@@ -24,8 +24,6 @@ def test_identity_tool_fingerprints_every_output(tmp_path):
         "baseline/loss_log.tsv",
         "corpus.tsv",
         "corpus.tsv.spec.json",
-        "ddpm-frozen/checkpoint.bin",
-        "ddpm-frozen/loss_log.tsv",
         "ddpm/checkpoint.bin",
         "ddpm/loss_log.tsv",
         "eval/hist_energy.tsv",
