@@ -15,6 +15,7 @@ import numpy as np
 
 from . import numerics as nm
 from .config import Config
+from .denoiser import KERNEL
 from .numerics import Rng, Tensor
 
 HEADS = ("pitch", "energy", "log_duration")
@@ -27,7 +28,7 @@ class BaselineNet:
 
     @classmethod
     def init(cls, config: Config, rng: Rng | None) -> "BaselineNet":
-        k, w = config.baseline.kernel_size, config.baseline.width
+        k, w = KERNEL, config.baseline.width
         cond_dim = config.denoiser.cond_dim
         params: dict[str, Tensor] = {}
         for head in HEADS:

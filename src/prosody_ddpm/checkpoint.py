@@ -31,7 +31,7 @@ from .data import NormStats
 from .numerics import Tensor
 
 MAGIC = b"PPCK"
-VERSION = 3
+VERSION = 4
 KINDS = ("ddpm", "baseline")
 
 
@@ -46,7 +46,7 @@ class Checkpoint:
     step: int
     params: dict[str, Tensor]
     stats: NormStats
-    rng_state_json: str = ""
+    rng_state: dict = field(default_factory=dict)
     opt_t: int = 0
     opt_m: dict[str, np.ndarray] = field(default_factory=dict)
     opt_v: dict[str, np.ndarray] = field(default_factory=dict)
@@ -101,7 +101,7 @@ def _write_checkpoint(ck: Checkpoint, write) -> None:
     _pack_str(write, ck.kind, "<H")
     _pack_str(write, canonical_text(ck.config), "<Q")
     write(struct.pack("<Q", ck.step))
-    _pack_str(write, ck.rng_state_json)
+    _pack_str(write, json.dumps(ck.rng_state, sort_keys=True))
     write(np.ascontiguousarray(ck.stats.mean, dtype="<f8").tobytes())
     write(np.ascontiguousarray(ck.stats.std, dtype="<f8").tobytes())
     write(struct.pack("<I", len(ck.params)))
@@ -148,7 +148,10 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError(f"{path}: unknown model kind {kind!r}")
     config = parse_config(r.s("<Q"))
     step = r.u("<Q")
-    rng_state_json = r.s()
+    try:
+        rng_state = json.loads(r.s())
+    except json.JSONDecodeError as e:
+        raise CheckpointError(f"{path}: malformed RNG state: {e}") from None
     stats = NormStats(r.f64(3), r.f64(3))
     if not (np.all(np.isfinite(stats.mean)) and np.all(np.isfinite(stats.std) & (stats.std > 0))):
         raise CheckpointError(
@@ -183,12 +186,8 @@ def load_checkpoint(path) -> Checkpoint:
         step=step,
         params=params,
         stats=stats,
-        rng_state_json=rng_state_json,
+        rng_state=rng_state,
         opt_t=opt_t,
         opt_m=opt_m,
         opt_v=opt_v,
     )
-
-
-def rng_state_to_json(state: dict) -> str:
-    return json.dumps(state, sort_keys=True)

@@ -29,7 +29,6 @@ class ScheduleSection:
 class DenoiserSection:
     channels: int = 64
     layers: int = 10
-    kernel_size: int = 3
     dilation_cycle: tuple = (1, 2, 4, 8, 16)
     cond_dim: int = 64
     step_hidden: int = 256
@@ -44,7 +43,6 @@ class ConditionSection:
 @dataclass
 class BaselineSection:
     width: int = 256
-    kernel_size: int = 3
     dropout: float = 0.5
 
 
@@ -52,9 +50,6 @@ class BaselineSection:
 class OptimizerSection:
     lr: float = 1e-3
     batch_size: int = 16
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 @dataclass
@@ -179,19 +174,12 @@ def validate(config: Config) -> None:
     for name, size in sizes.items():
         if size < 1:
             raise ConfigError(f"{name} must be >= 1")
-    kernels = {"denoiser.kernel_size": d.kernel_size, "baseline.kernel_size": b.kernel_size}
-    for name, k in kernels.items():
-        if k < 1 or k % 2 != 1:
-            raise ConfigError(f"{name} must be odd and >= 1")
     if not d.dilation_cycle or any(v < 1 for v in d.dilation_cycle):
         raise ConfigError("denoiser.dilation_cycle entries must be >= 1")
     if not 0.0 <= b.dropout < 1.0:
         raise ConfigError("baseline.dropout must be in [0, 1)")
-    if not (o.lr > 0.0 and o.eps > 0.0):
-        raise ConfigError("optimizer.lr and optimizer.eps must be > 0")
-    for name, beta in (("beta1", o.beta1), ("beta2", o.beta2)):
-        if not 0.0 <= beta < 1.0:
-            raise ConfigError(f"optimizer.{name} must be in [0, 1)")
+    if not o.lr > 0.0:
+        raise ConfigError("optimizer.lr must be > 0")
     if not 0.0 < config.data.holdout_fraction < 1.0:
         raise ConfigError("data.holdout_fraction must be in (0, 1)")
     t = config.train

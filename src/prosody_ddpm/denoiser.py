@@ -20,8 +20,8 @@ from .config import Config
 from .data import DIM_NAMES
 from .numerics import Rng, Tensor
 
-# Kernel width of the condition encoder's two convolutions.
-_COND_KERNEL = 3
+# Kernel width of every convolution in all three networks (as in DiffWave).
+KERNEL = 3
 
 
 def step_embedding(t, dim: int) -> np.ndarray:
@@ -54,7 +54,7 @@ class ConditionEncoder:
     def init(cls, config: Config, rng: Rng | None) -> "ConditionEncoder":
         """Sizes come from ``[condition]``, ``data.vocab_size`` and
         ``denoiser.cond_dim`` (the width every network reads)."""
-        c, k = config.condition, _COND_KERNEL
+        c, k = config.condition, KERNEL
         vocab, cond_dim = config.data.vocab_size, config.denoiser.cond_dim
         params = {
             "cond.embed": nm.uniform_fanin(rng, (vocab, c.embed_dim), c.embed_dim),
@@ -108,7 +108,7 @@ class Denoiser:
     def init(cls, config: Config, rng: Rng | None) -> "Denoiser":
         """Sizes come from ``[denoiser]``."""
         c = config.denoiser
-        ch, k, f = c.channels, c.kernel_size, len(DIM_NAMES)
+        ch, k, f = c.channels, KERNEL, len(DIM_NAMES)
 
         def fused(shape, fan_in) -> Tensor:
             # Filter then gate (or their condition projections), drawn in

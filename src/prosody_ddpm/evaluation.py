@@ -213,15 +213,6 @@ class SystemEval:
     ids: np.ndarray
     feats: np.ndarray
 
-    @property
-    def per_class_values(self) -> dict[int, dict[str, np.ndarray]]:
-        """Raw values per class and dimension, for mode-coverage style
-        follow-ups; not rendered into reports."""
-        return {
-            int(c): {dim: self.feats[self.ids == c, d] for d, dim in enumerate(DIM_NAMES)}
-            for c in np.unique(self.ids)
-        }
-
 
 @dataclass
 class EvalReport:

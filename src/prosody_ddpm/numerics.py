@@ -162,6 +162,8 @@ class Gradients:
         self._accum = accum
 
     def wrt(self, t: Tensor) -> np.ndarray:
+        """Gradient of leaf ``t``.  Ask only for leaves: an intermediate
+        tensor reads zero, the same as a tensor the loss did not reach."""
         entry = self._accum.get(id(t))
         if entry is None:
             return np.zeros_like(t.data)

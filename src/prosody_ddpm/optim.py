@@ -2,7 +2,8 @@
 
 Parameters are immutable tensors, so a step returns a fresh dict rather
 than updating in place; optimizer state is keyed by parameter name and
-serializes into checkpoints.
+serializes into checkpoints.  Only the learning rate is configurable; the
+decay rates and epsilon are Kingma & Ba's values (arXiv 1412.6980).
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ import numpy as np
 
 from .config import OptimizerSection
 from .numerics import Gradients, Tensor
+
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 class Adam:
@@ -22,10 +25,10 @@ class Adam:
 
     def step(self, params: dict[str, Tensor], grads: Gradients) -> dict[str, Tensor]:
         """One update; returns the new parameter dict (same key order)."""
-        c = self.config
+        lr = self.config.lr
         self.t += 1
-        bc1 = 1.0 - c.beta1**self.t
-        bc2 = 1.0 - c.beta2**self.t
+        bc1 = 1.0 - BETA1**self.t
+        bc2 = 1.0 - BETA2**self.t
         out: dict[str, Tensor] = {}
         for name, p in params.items():
             g = grads.wrt(p)
@@ -37,11 +40,11 @@ class Adam:
                 self.v[name] = v
             else:
                 v = self.v[name]
-            m *= c.beta1
-            m += (1.0 - c.beta1) * g
-            v *= c.beta2
-            v += (1.0 - c.beta2) * (g * g)
-            update = (c.lr / bc1) * m / (np.sqrt(v / bc2) + c.eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * (g * g)
+            update = (lr / bc1) * m / (np.sqrt(v / bc2) + EPS)
             out[name] = Tensor(p.data - update, _checked_op=None)
         return out
 

@@ -11,14 +11,13 @@ checkpoint finishes bit-identically to an uninterrupted one.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import diffusion, numerics as nm
 from .baseline import BaselineNet, baseline_loss_graph
-from .checkpoint import Checkpoint, rng_state_to_json
+from .checkpoint import Checkpoint
 from .config import Config, ConfigError, canonical_text
 from .data import Corpus, NormStats, assign_splits, compute_norm_stats, normalize
 from .denoiser import ConditionEncoder, Denoiser
@@ -129,7 +128,7 @@ def make_checkpoint(
         step=step,
         params=model.params,
         stats=stats,
-        rng_state_json=rng_state_to_json(rng.state()),
+        rng_state=rng.state(),
         opt_t=optimizer.t,
         # Moment buffers are updated in place by Adam; snapshot copies.
         opt_m={k: v.copy() for k, v in optimizer.m.items()},
@@ -184,7 +183,7 @@ def train_model(
             raise ConfigError("checkpoint normalization statistics do not match the corpus")
         model = model_from_checkpoint(resume)
         rng = Rng(config.train.seed)
-        rng.set_state(json.loads(resume.rng_state_json))
+        rng.set_state(resume.rng_state)
         optimizer.load_state(
             resume.opt_t, [(k, resume.opt_m[k], resume.opt_v[k]) for k in resume.opt_m]
         )

@@ -31,7 +31,7 @@ from prosody_ddpm.data import (
     load_corpus,
     save_corpus,
 )
-from prosody_ddpm.denoiser import ConditionEncoder, Denoiser, count_parameters
+from prosody_ddpm.denoiser import KERNEL, ConditionEncoder, Denoiser, count_parameters
 from prosody_ddpm.diffusion import linear_schedule, sample_model_space, training_loss_graph
 from prosody_ddpm.evaluation import (
     LN2,
@@ -267,9 +267,7 @@ def _bimodal_pitch_residuals(system_eval, spec):
     for cls_id, cls in enumerate(spec.classes):
         if len(cls.weights) < 2:
             continue
-        values = system_eval.per_class_values.get(cls_id, {}).get("pitch")
-        if values is None:
-            continue
+        values = system_eval.feats[system_eval.ids == cls_id, 0]
         residuals.append(values - cls.means[:, 0].mean())
     return np.concatenate(residuals)
 
@@ -413,7 +411,7 @@ def test_criterion_10_parameter_accounting():
         den = Denoiser.init(config, Rng(0))
         enc = ConditionEncoder.init(config, Rng(0))
         cfg, features = config.denoiser, 3
-        ch, k, d, h = cfg.channels, cfg.kernel_size, cfg.cond_dim, cfg.step_hidden
+        ch, k, d, h = cfg.channels, KERNEL, cfg.cond_dim, cfg.step_hidden
         per_layer = 2 * (k * ch * ch + ch) + 2 * (d * ch + ch) + (ch * ch + ch)
         expect_den = (
             (features * ch + ch)
@@ -424,11 +422,11 @@ def test_criterion_10_parameter_accounting():
             + (ch * ch + ch)
             + (ch * features + features)
         )
-        cc, kc = config.condition, 3  # the encoder's kernel width is fixed
+        cc = config.condition
         expect_enc = (
             config.data.vocab_size * cc.embed_dim
-            + (kc * cc.embed_dim * cc.hidden + cc.hidden)
-            + (kc * cc.hidden * d + d)
+            + (k * cc.embed_dim * cc.hidden + cc.hidden)
+            + (k * cc.hidden * d + d)
         )
         assert count_parameters(den) == expect_den
         assert count_parameters(enc) == expect_enc

@@ -37,6 +37,15 @@ TINY = [
     ("train.checkpoint_every", "0"),
 ]
 
+# Former keys whose values are constants (``denoiser.KERNEL``,
+# ``optim.BETA1/BETA2/EPS``), each with that constant's value.
+REMOVED_SETTINGS = {
+    "denoiser.kernel_size": "3",
+    "baseline.kernel_size": "3",
+    "optimizer.beta1": "0.9",
+    "optimizer.beta2": "0.999",
+    "optimizer.eps": "1e-8",
+}
 
 # A valid one-class spec plus a key save_spec never writes.
 UNKNOWN_KEY_SPEC = (
@@ -110,7 +119,7 @@ class TestTrainModel:
         assert resumed.step == 30
         for k in full.params:
             np.testing.assert_array_equal(resumed.params[k].data, full.params[k].data)
-        assert resumed.rng_state_json == full.rng_state_json
+        assert resumed.rng_state == full.rng_state
         # byte-level: identical checkpoints serialize identically
         p1 = tmp_path / "full.bin"
         p2 = tmp_path / "resumed.bin"
@@ -340,15 +349,16 @@ class TestCommands:
         assert rc == 2
         assert f"parameter {name!r} has shape ({size},)" in capsys.readouterr().err
 
-    def test_sample_rejects_version_2_checkpoint(self, untrained, tmp_path, capsys):
+    @pytest.mark.parametrize("version", [2, 3])
+    def test_sample_rejects_older_checkpoint(self, untrained, tmp_path, capsys, version):
         with open(untrained["ddpm"], "rb") as fh:
             data = fh.read()
-        old = tmp_path / "v2.bin"
-        old.write_bytes(data[:4] + struct.pack("<I", 2) + data[8:])
+        old = tmp_path / f"v{version}.bin"
+        old.write_bytes(data[:4] + struct.pack("<I", version) + data[8:])
         rc = main(["sample", "--checkpoint", str(old), "--tokens", "0 1",
                    "--out", str(tmp_path / "s.tsv")])
         assert rc == 2
-        assert "checkpoint format v2 is older than v3; retrain" in capsys.readouterr().err
+        assert f"checkpoint format v{version} is older than v4; retrain" in capsys.readouterr().err
         assert not (tmp_path / "s.tsv").exists()
 
     def test_eval_rejects_mismatched_stats(self, tiny_corpus_file, tmp_path, capsys):
@@ -391,11 +401,14 @@ class TestCommands:
         assert rc == 2
         assert "c.tsv.spec.json: malformed spec" in capsys.readouterr().err
 
-    def test_invalid_adam_beta_rejected(self, tiny_corpus_file, tmp_path, capsys):
+    @pytest.mark.parametrize("dotted", list(REMOVED_SETTINGS))
+    def test_removed_setting_rejected(self, tiny_corpus_file, tmp_path, capsys, dotted):
         rc = main(["train", "--model", "ddpm", "--corpus", tiny_corpus_file,
-                   "--out", str(tmp_path / "r"), "--optimizer.beta1", "1.0"])
+                   "--out", str(tmp_path / "r"), f"--{dotted}", REMOVED_SETTINGS[dotted]])
         assert rc == 2
-        assert "beta1" in capsys.readouterr().err
+        key = dotted.split(".")[1]
+        assert f"unknown key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
 
     def test_unknown_override_rejected(self, tiny_corpus_file, tmp_path, capsys):
         rc = main(["train", "--model", "ddpm", "--corpus", tiny_corpus_file,

@@ -11,7 +11,13 @@ from prosody_ddpm.config import (
     DenoiserSection,
     OptimizerSection,
 )
-from prosody_ddpm.denoiser import ConditionEncoder, Denoiser, count_parameters, step_embedding
+from prosody_ddpm.denoiser import (
+    KERNEL,
+    ConditionEncoder,
+    Denoiser,
+    count_parameters,
+    step_embedding,
+)
 from prosody_ddpm.diffusion import linear_schedule, training_loss_graph
 from prosody_ddpm.numerics import Rng, Tape, Tensor
 from prosody_ddpm.optim import Adam
@@ -63,7 +69,7 @@ class TestForward:
         den.params["out.w"] = Tensor(rng.normal((8, 3)) * 0.2)
         d = SMALL.denoiser
         dilations = [d.dilation_cycle[i % len(d.dilation_cycle)] for i in range(d.layers)]
-        rf = 1 + (d.kernel_size - 1) * sum(dilations)
+        rf = 1 + (KERNEL - 1) * sum(dilations)
         n, k = 40, 5
         pattern_ids = rng.integers(0, 5, 20)
         ids1 = np.zeros(n, dtype=np.int64)
@@ -148,7 +154,7 @@ class TestParameterAccounting:
         # Independent hand count over the declared topology.
         den = Denoiser.init(Config(), Rng(0))
         cfg, features = Config().denoiser, 3
-        ch, k, d, h = cfg.channels, cfg.kernel_size, cfg.cond_dim, cfg.step_hidden
+        ch, k, d, h = cfg.channels, KERNEL, cfg.cond_dim, cfg.step_hidden
         per_layer = (
             2 * (k * ch * ch + ch)  # filter and gate dilated convs
             + 2 * (d * ch + ch)  # condition projections for filter and gate
@@ -205,7 +211,7 @@ class TestGradientFlow:
 
 
 def _reference_init(c: DenoiserSection, rng: Rng) -> dict:
-    ch, k = c.channels, c.kernel_size
+    ch, k = c.channels, KERNEL
     params = {
         "in.w": nm.uniform_fanin(rng, (3, ch), 3),
         "in.b": nm.zeros(ch),

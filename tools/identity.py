@@ -30,8 +30,7 @@ SIZE = (
     " --train.steps=30 --train.log_every=5 --train.checkpoint_every=10"
     # Non-default values for every remaining model and optimizer key, so a
     # key that stops reaching the model changes the digests.
-    " --denoiser.kernel_size=5 --baseline.kernel_size=5 --baseline.dropout=0.25"
-    " --optimizer.lr=2e-3 --optimizer.beta1=0.8 --optimizer.beta2=0.99 --optimizer.eps=1e-7"
+    " --baseline.dropout=0.25 --optimizer.lr=2e-3"
 )
 # Paths are relative to the work directory: the corpus path is part of the
 # stored config, so an absolute one would change every digest.
