@@ -5,6 +5,7 @@ the shared condition vectors; each is two blocks of non-causal
 convolution, a smooth nonlinearity, layer normalization and dropout,
 followed by a linear projection to one value per token.  At inference
 dropout is off and the mapping is a pure function of the condition.
+Inputs are unpadded, as for the denoiser: every position is a real token.
 Sizes and the dropout rate come from ``[baseline]``; the input width is
 ``denoiser.cond_dim``, the condition encoder's output.
 """
@@ -71,9 +72,8 @@ def baseline_loss_graph(
     model: BaselineNet,
     cond: Tensor,
     target: np.ndarray,
-    mask: np.ndarray | None = None,
     rng: Rng | None = None,
     training: bool = True,
 ) -> Tensor:
-    """Mean squared error over unmasked elements, recorded on the active tape."""
-    return nm.masked_mse(model.forward(cond, rng, training), target, mask, "baseline_loss")
+    """Mean squared error over every element, recorded on the active tape."""
+    return nm.mse(model.forward(cond, rng, training), target, "baseline_loss")

@@ -113,8 +113,15 @@ def cmd_train(args, extra: list[str]) -> int:
     _write_config_log(config, overrides, os.path.join(out_dir, "config.txt"))
     ckpt_path = os.path.join(out_dir, "checkpoint.bin")
     log_path = os.path.join(out_dir, "loss_log.tsv")
-    # Rows are written as they are logged, so a run that diverges keeps them.
+    # A resumed run keeps the rows up to its checkpoint's step and writes the
+    # later ones again.  Rows are written as they are logged, so a run that
+    # diverges keeps them.
+    kept = []
+    if resume is not None and os.path.exists(log_path):
+        with open(log_path, encoding="utf-8") as fh:
+            kept = [r for r in fh if r.endswith("\n") and int(r.split("\t")[0]) <= resume.step]
     with open(log_path, "w", encoding="utf-8") as log:
+        log.writelines(kept)
 
         def on_log(step: int, loss: float) -> None:
             log.write(f"{step}\t{loss!r}\n")

@@ -7,6 +7,8 @@ condition injection follow the usual conditional-WaveNet recipe; the
 diffusion step enters as a sinusoidal embedding passed through a
 two-layer projection and broadcast-added to every layer's input.  Both
 networks take their sizes from the run :class:`~prosody_ddpm.config.Config`.
+Inputs are unpadded: a batch stacks sequences of one length, and every
+position is a real token.
 """
 
 from __future__ import annotations

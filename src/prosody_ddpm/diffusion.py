@@ -105,20 +105,13 @@ def posterior_mean(x_t: np.ndarray, eps_hat: np.ndarray, t: int, sched: NoiseSch
 
 
 def training_loss_graph(
-    model,
-    x0: np.ndarray,
-    cond: Tensor,
-    t,
-    eps: np.ndarray,
-    sched: NoiseSchedule,
-    mask: np.ndarray | None = None,
+    model, x0: np.ndarray, cond: Tensor, t, eps: np.ndarray, sched: NoiseSchedule
 ) -> Tensor:
-    """Masked mean-squared noise-prediction error, recorded on the active tape.
+    """Mean-squared noise-prediction error, recorded on the active tape.
 
     ``x0``/``eps`` are model-space feature arrays of shape ``(length, 3)``
-    or ``(batch, length, 3)``; ``cond`` is the matching condition tensor.
-    Padding positions (``mask == 0``) are zeroed on the way into the
-    denoiser and excluded from the mean.
+    or ``(batch, length, 3)`` with no padding; ``cond`` is the matching
+    condition tensor.
     """
     x0 = np.asarray(x0, dtype=np.float64)
     if cond.shape[:-1] != x0.shape[:-1]:
@@ -126,15 +119,8 @@ def training_loss_graph(
             "training_loss", f"condition token axes {cond.shape} do not match x0 {x0.shape}"
         )
     x_t = forward_diffuse(x0, t, eps, sched)
-    if mask is not None:
-        mask = np.asarray(mask, dtype=np.float64)
-        if mask.shape != x0.shape[:-1]:
-            raise nm.ShapeError(
-                "training_loss", f"mask shape {mask.shape} does not match x0 {x0.shape}"
-            )
-        x_t = x_t * mask[..., None]
     eps_hat = model.forward(Tensor(x_t), model.condition(cond), model.steps(t))
-    return nm.masked_mse(eps_hat, eps, mask, "training_loss")
+    return nm.mse(eps_hat, eps, "training_loss")
 
 
 def reverse_step(

@@ -4,8 +4,8 @@ Everything the networks in this package need runs through the small
 primitive set defined here: elementwise arithmetic, matmul with an
 optional bias, concatenation, a non-causal dilated 1-d convolution, the
 usual activations and the WaveNet gate, layer normalization, dropout,
-embedding lookup, full reductions, and the masked mean-squared error
-built from them.  Each primitive computes its forward value with numpy
+embedding lookup, full reductions, and the mean-squared error built
+from them.  Each primitive computes its forward value with numpy
 and, when a :class:`Tape` is active on the current thread, records
 enough state to play the step backwards.
 
@@ -14,7 +14,8 @@ Conventions:
 * all values are float64 and C-contiguous; tensors are immutable once
   created (the underlying buffer is marked read-only),
 * sequences are ``(length, channels)`` arrays and batches add a leading
-  axis, ``(batch, length, channels)``,
+  axis, ``(batch, length, channels)``; every row of a batch has the
+  same length, so nothing is padded and no primitive takes a mask,
 * any NaN or Inf produced by a forward or backward step is a hard error.
 
 Every primitive output gets one exact elementwise NaN/Inf check, so the
@@ -492,26 +493,13 @@ def mean(x: Tensor) -> Tensor:
     return _emit("mean", out, back)
 
 
-def masked_mse(pred: Tensor, target, mask, op: str) -> Tensor:
-    """Mean of ``(pred - target) ** 2`` over the positions ``mask`` keeps.
-
-    ``mask`` (1 keeps, 0 drops) covers every axis of ``target`` but the
-    last, feature axis; ``None`` keeps everything.  Errors name ``op``.
-    """
+def mse(pred: Tensor, target, op: str) -> Tensor:
+    """Mean of ``(pred - target) ** 2`` over every element; errors name ``op``."""
     target = np.array(target, dtype=np.float64)  # a copy: Tensor adopts it
     if pred.shape != target.shape:
         raise ShapeError(op, f"prediction {pred.shape} does not match target {target.shape}")
     diff = sub(pred, Tensor(target))
-    sq = mul(diff, diff)
-    if mask is None:
-        return mean(sq)
-    mask = np.asarray(mask, dtype=np.float64)
-    if mask.shape != target.shape[:-1]:
-        raise ShapeError(op, f"mask {mask.shape} does not match target {target.shape}")
-    count = float(mask.sum()) * target.shape[-1]
-    if count == 0:
-        raise ValueError(f"{op}: mask excludes every position")
-    return mul(sum(mul(sq, Tensor(mask[..., None]))), 1.0 / count)
+    return mean(mul(diff, diff))
 
 
 # --------------------------------------------------------------------------

@@ -2,11 +2,11 @@
 
 A trainable model is a condition encoder plus a prediction network whose
 parameter dicts share one flat namespace (``cond.*`` for the encoder).
-Each step samples a batch of utterances with replacement, pads to the
-batch maximum length, and masks both the network inputs and the loss
-beyond each sequence's true length.  All randomness flows through a
-single checkpointed stream, so an interrupted run resumed from its last
-checkpoint finishes bit-identically to an uninterrupted one.
+Each step draws a batch of train utterances of one length, with
+replacement (see :func:`draw_batch`), so no padding reaches a network and
+no mask is needed.  All randomness flows through a single checkpointed
+stream, so an interrupted run resumed from its last checkpoint finishes
+bit-identically to an uninterrupted one.
 """
 
 from __future__ import annotations
@@ -85,6 +85,7 @@ class PreparedCorpus:
     stats: NormStats
     token_ids: list[np.ndarray]
     targets: list[np.ndarray]  # model-space (length, 3) per train utterance
+    by_length: dict[int, np.ndarray]  # length -> indices of the train utterances of that length
 
 
 def prepare_corpus(config: Config, corpus: Corpus) -> PreparedCorpus:
@@ -97,26 +98,33 @@ def prepare_corpus(config: Config, corpus: Corpus) -> PreparedCorpus:
     train = tagged.subset("train")
     rows = [u.prosody.features() for u in train]
     stats = compute_norm_stats(rows)
+    by_length: dict[int, list[int]] = {}
+    for i, r in enumerate(rows):
+        by_length.setdefault(len(r), []).append(i)
     return PreparedCorpus(
         corpus=tagged,
         stats=stats,
         token_ids=[u.tokens.as_array() for u in train],
         targets=[normalize(r, stats) for r in rows],
+        by_length={n: np.array(ix) for n, ix in by_length.items()},
     )
 
 
+def draw_batch(prep: PreparedCorpus, rng: Rng, size: int) -> np.ndarray:
+    """Indices of ``size`` train utterances of one length.
+
+    The first is uniform over the train split; the rest are drawn with
+    replacement from the utterances of its length.  So every utterance
+    has probability ``1/N`` in every slot, and nothing needs padding.
+    """
+    first = int(rng.integers(0, len(prep.token_ids)))
+    group = prep.by_length[len(prep.token_ids[first])]
+    return np.concatenate(([first], group[rng.integers(0, len(group), size - 1)]))
+
+
 def _assemble_batch(prep: PreparedCorpus, idxs: np.ndarray):
-    lens = [len(prep.token_ids[i]) for i in idxs]
-    lmax = max(lens)
-    b = len(idxs)
-    ids = np.zeros((b, lmax), dtype=np.int64)
-    x0 = np.zeros((b, lmax, 3))
-    mask = np.zeros((b, lmax))
-    for row, (i, n) in enumerate(zip(idxs, lens)):
-        ids[row, :n] = prep.token_ids[i]
-        x0[row, :n] = prep.targets[i]
-        mask[row, :n] = 1.0
-    return ids, x0, mask
+    """Stack the utterances ``idxs``, all of one length, as ``(ids, x0)``."""
+    return np.stack([prep.token_ids[i] for i in idxs]), np.stack([prep.targets[i] for i in idxs])
 
 
 def make_checkpoint(
@@ -136,21 +144,20 @@ def make_checkpoint(
     )
 
 
-def _loss_and_grads(model: TrainableModel, kind: str, sched, rng: Rng, ids, x0, mask):
+def _loss_and_grads(model: TrainableModel, kind: str, sched, rng: Rng, ids, x0):
     """One step's loss and leaf gradients.
 
     The step's tape and the forward values it holds are freed on return,
     before the optimizer allocates its temporaries.
     """
-    m3 = Tensor(mask[..., None])
     with Tape() as tape:
-        cvec = nm.mul(model.cond.forward(ids), m3)
+        cvec = model.cond.forward(ids)
         if kind == "ddpm":
             t = rng.integers(1, sched.steps + 1, len(ids))
             eps = rng.normal(x0.shape)
-            loss = diffusion.training_loss_graph(model.net, x0, cvec, t, eps, sched, mask)
+            loss = diffusion.training_loss_graph(model.net, x0, cvec, t, eps, sched)
         else:
-            loss = baseline_loss_graph(model.net, cvec, x0, mask, rng=rng, training=True)
+            loss = baseline_loss_graph(model.net, cvec, x0, rng=rng, training=True)
     return loss, nm.backward(tape, loss)
 
 
@@ -195,15 +202,13 @@ def train_model(
 
     log: list[tuple[int, float]] = []
     batch = config.optimizer.batch_size
-    n_train = len(prep.token_ids)
 
     step = start_step
     while step < total_steps:
-        idxs = rng.integers(0, n_train, batch)
-        ids, x0, mask = _assemble_batch(prep, idxs)
+        ids, x0 = _assemble_batch(prep, draw_batch(prep, rng, batch))
         # Primitives check their outputs: a non-finite loss or gradient raises here.
         try:
-            loss, grads = _loss_and_grads(model, kind, sched, rng, ids, x0, mask)
+            loss, grads = _loss_and_grads(model, kind, sched, rng, ids, x0)
         except nm.NonFiniteError as e:
             raise TrainingDiverged(step + 1) from e
         model.replace_params(optimizer.step(model.params, grads))

@@ -55,35 +55,16 @@ class TestLoss:
         loss, _ = loss_and_grads(lambda: baseline_loss_graph(net, c, np.ones((9, 3)), rng=rng))
         assert loss == pytest.approx(1.0, abs=1e-12)
 
-    def test_all_masked_rejected(self, rng):
-        net = BaselineNet.init(SMALL, rng)
-        with pytest.raises(ValueError, match="mask"):
-            baseline_loss_graph(net, Tensor(rng.normal((4, 6))), np.zeros((4, 3)),
-                                mask=np.zeros(4), rng=rng)
-
-    def test_masked_positions_excluded(self, rng):
-        cfg = small(6, 12, 0.0)
-        net = BaselineNet.init(cfg, rng)
-        c = Tensor(rng.normal((6, 6)))
-        target = rng.normal((6, 3))
-        mask = np.array([1, 1, 1, 1, 0, 0], dtype=float)
-        loss1, _ = loss_and_grads(lambda: baseline_loss_graph(net, c, target, mask=mask))
-        junk = target.copy()
-        junk[4:] = 1e3
-        loss2, _ = loss_and_grads(lambda: baseline_loss_graph(net, c, junk, mask=mask))
-        assert loss1 == pytest.approx(loss2, rel=1e-12)
-
     def test_gradients_match_finite_differences(self, rng):
         cfg = small(4, 6, 0.0)
         net = BaselineNet.init(cfg, rng)
         jitter_params(net.params, rng)
         c_data = rng.normal((5, 4))
         target = rng.normal((5, 3))
-        mask = np.array([1, 1, 1, 1, 0], dtype=float)
 
         def loss_fn(params):
             net.params = params
-            return baseline_loss_graph(net, Tensor(c_data), target, mask, training=False)
+            return baseline_loss_graph(net, Tensor(c_data), target, training=False)
 
         fd_check(loss_fn, dict(net.params), probes_per_tensor=2)
 

@@ -453,3 +453,35 @@ class TestCommands:
         assert main(args + ["--train.steps", "10", "--train.log_every", "2"]) == 3
         rows = (out / "loss_log.tsv").read_text().splitlines()
         assert [int(row.split("\t")[0]) for row in rows] == [2, 4]
+
+    def test_resume_keeps_loss_log(self, tiny_corpus_file, tmp_path, monkeypatch):
+        # A run stopped at step 25, after its step-20 checkpoint, and resumed
+        # into the same directory leaves the uninterrupted run's log.
+        import prosody_ddpm.numerics as nm
+        import prosody_ddpm.training as training
+
+        args = ["train", "--corpus", tiny_corpus_file, "--model", "ddpm"]
+        for key, val in TINY + [("train.steps", "30"), ("train.log_every", "2"),
+                                ("train.checkpoint_every", "10")]:
+            args += [f"--{key}", val]
+        assert main(args + ["--out", str(tmp_path / "full")]) == 0
+
+        real, calls = training.diffusion.training_loss_graph, []
+
+        def stop_at_step_25(*a, **kw):
+            calls.append(None)
+            if len(calls) == 25:
+                raise nm.NonFiniteError("loss")
+            return real(*a, **kw)
+
+        out = tmp_path / "cut"
+        monkeypatch.setattr(training.diffusion, "training_loss_graph", stop_at_step_25)
+        assert main(args + ["--out", str(out)]) == 3
+        monkeypatch.undo()
+        cut = (out / "loss_log.tsv").read_text().splitlines()
+        assert int(cut[-1].split("\t")[0]) == 24
+        assert main(args + ["--out", str(out), "--resume", str(out / "checkpoint.bin")]) == 0
+        full = (tmp_path / "full" / "loss_log.tsv").read_bytes()
+        assert (out / "loss_log.tsv").read_bytes() == full
+        full_ck = (tmp_path / "full" / "checkpoint.bin").read_bytes()
+        assert (out / "checkpoint.bin").read_bytes() == full_ck

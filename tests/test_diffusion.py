@@ -247,32 +247,25 @@ class TestTrainingLoss:
             training_loss_graph(model, rng.normal((6, 3)), Tensor(np.zeros((5, 2))), 3,
                                 rng.normal((6, 3)), self.sched)
 
-    def test_masked_positions_do_not_affect_loss(self, rng):
+    def test_batch_loss_is_mean_of_row_losses(self, rng):
+        # Rows of one length: the batch loss weighs every row equally.
         cfg = DenoiserSection(channels=8, layers=2, dilation_cycle=(1,), cond_dim=4, step_hidden=8)
         model = Denoiser.init(Config(denoiser=cfg), rng)
         x0 = rng.normal((2, 5, 3))
         eps = rng.normal((2, 5, 3))
-        mask = np.array([[1, 1, 1, 0, 0], [1, 1, 1, 1, 1]], dtype=float)
-        cond = Tensor(rng.normal((2, 5, 4)) * mask[..., None])
+        cond = Tensor(rng.normal((2, 5, 4)))
         t = np.array([7, 20])
-        loss1, _ = loss_and_grads(
-            lambda: training_loss_graph(model, x0, cond, t, eps, self.sched, mask)
-        )
+        batch, _ = loss_and_grads(lambda: training_loss_graph(model, x0, cond, t, eps, self.sched))
         assert eps.flags.writeable  # the loss must not adopt the caller's noise
-        x0_junk = x0.copy()
-        x0_junk[0, 3:] = 123.0
-        eps_junk = eps.copy()
-        eps_junk[0, 3:] = -55.0
-        loss2, _ = loss_and_grads(
-            lambda: training_loss_graph(model, x0_junk, cond, t, eps_junk, self.sched, mask)
-        )
-        assert loss1 == pytest.approx(loss2, rel=1e-12)
-
-    def test_all_masked_rejected(self, rng):
-        model = StubModel(lambda x, c, t: Tensor(np.zeros(x.shape)))
-        with pytest.raises(ValueError, match="mask"):
-            training_loss_graph(model, rng.normal((2, 3, 3)), Tensor(np.zeros((2, 3, 2))), 3,
-                                rng.normal((2, 3, 3)), self.sched, np.zeros((2, 3)))
+        rows = [
+            loss_and_grads(
+                lambda: training_loss_graph(
+                    model, x0[i], Tensor(cond.data[i]), t[i], eps[i], self.sched
+                )
+            )[0]
+            for i in range(2)
+        ]
+        assert batch == pytest.approx(np.mean(rows), rel=1e-12)
 
     def test_gradients_match_finite_differences(self, rng):
         cfg = DenoiserSection(channels=6, layers=2, dilation_cycle=(1, 2), cond_dim=4, step_hidden=8)

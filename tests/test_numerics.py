@@ -370,7 +370,7 @@ class TestTensor:
 
 def _primitive_calls(rng):
     """``(name, call, ops it records, writeable arrays it is handed)`` for
-    every primitive, including the 0-d ``mul(sum(x), k)`` of ``masked_mse``."""
+    every primitive, including a 0-d ``mul(sum(x), k)``."""
     x = Tensor(rng.normal((2, 4, 6)))
     z = Tensor(rng.normal((2, 4, 6)))
     y = Tensor(rng.normal(6))
@@ -378,7 +378,7 @@ def _primitive_calls(rng):
     cw, cb = Tensor(rng.normal((3, 6, 4))), Tensor(rng.normal(4))
     table = Tensor(rng.normal((5, 6)))
     ids = np.array([[0, 4, 2], [1, 1, 3]])
-    target, mask = rng.normal((2, 4, 6)), np.array([[1.0, 1, 1, 0], [1, 1, 0, 0]])
+    target = rng.normal((2, 4, 6))
     return [
         ("add", lambda: nm.add(x, y), ["add"], []),
         ("add_const", lambda: nm.add(x, 1.5), ["add"], []),
@@ -398,8 +398,7 @@ def _primitive_calls(rng):
         ("sum", lambda: nm.sum(x), ["sum"], []),
         ("mean", lambda: nm.mean(x), ["mean"], []),
         ("mul_0d", lambda: nm.mul(nm.sum(x), 2.0), ["sum", "mul"], []),
-        ("masked_mse", lambda: nm.masked_mse(x, target, mask, "loss"),
-         ["sub", "mul", "mul", "sum", "mul"], [target, mask]),
+        ("mse", lambda: nm.mse(x, target, "loss"), ["sub", "mul", "mean"], [target]),
     ]
 
 
@@ -425,38 +424,33 @@ def test_primitive_outputs_follow_tensor_conventions(name, rng):
     assert np.array_equal(untaped.data, taped.data)
 
 
-# -- masked MSE reference ---------------------------------------------------
+# -- MSE reference ----------------------------------------------------------
 #
-# The two losses as first written, each with its own masking: the ddpm loss
-# zeroed padded targets before the squared error, the baseline summed one
-# masked squared error per head.  Both now go through ``nm.masked_mse`` and
-# must give the same gradients bit for bit.
+# The two losses as first written: the ddpm loss summed its squared error
+# and divided by the element count, the baseline summed one squared error
+# per head.  Both now go through ``nm.mse`` and must give the same
+# gradients bit for bit.
 
 
-def _reference_ddpm_loss(model, x0, cond, t, eps, sched, mask):
+def _reference_ddpm_loss(model, x0, cond, t, eps, sched):
     from prosody_ddpm.diffusion import forward_diffuse
 
-    m3 = mask[..., None]
-    x_t = forward_diffuse(x0, t, eps, sched) * m3
+    x_t = forward_diffuse(x0, t, eps, sched)
     eps_hat = model.forward(Tensor(x_t), model.condition(cond), model.steps(t))
-    diff = nm.sub(eps_hat, Tensor(eps * m3))
-    sq = nm.mul(diff, diff)
-    count = float(mask.sum()) * x0.shape[-1]
-    return nm.mul(nm.sum(nm.mul(sq, Tensor(m3))), 1.0 / count)
+    diff = nm.sub(eps_hat, Tensor(eps))
+    return nm.mul(nm.sum(nm.mul(diff, diff)), 1.0 / x0.size)
 
 
-def _reference_baseline_loss(model, cond, target, mask, rng, training):
+def _reference_baseline_loss(model, cond, target, rng, training):
     from prosody_ddpm.baseline import HEADS
 
-    count = float(mask.sum())
-    m1 = Tensor(mask[..., None])
     total = None
     for d, head in enumerate(HEADS):
         pred = model.head_forward(head, cond, rng, training)
         diff = nm.sub(pred, Tensor(target[..., d : d + 1]))
-        part = nm.sum(nm.mul(nm.mul(diff, diff), m1))
+        part = nm.sum(nm.mul(diff, diff))
         total = part if total is None else nm.add(total, part)
-    return nm.mul(total, 1.0 / (count * len(HEADS)))
+    return nm.mul(total, 1.0 / target.size)
 
 
 def _loss_and_grads(make_loss, tensors):
@@ -474,12 +468,8 @@ def test_masked_mse_matches_per_loss_references(rng):
 
     from conftest import jitter_params
 
-    mask = np.array([[1, 1, 1, 1, 1], [1, 1, 0, 0, 0], [1, 1, 1, 1, 0]], dtype=float)
-    cond = Tensor(rng.normal((3, 5, 4)) * mask[..., None])
+    cond = Tensor(rng.normal((3, 5, 4)))
     target = rng.normal((3, 5, 3))
-    # Junk at padded positions must not reach either loss.
-    target[mask == 0] = 7.0
-
     cfg = Config(
         denoiser=DenoiserSection(channels=6, layers=2, dilation_cycle=(1, 2), cond_dim=4,
                                  step_hidden=8),
@@ -490,10 +480,8 @@ def test_masked_mse_matches_per_loss_references(rng):
     sched = linear_schedule(30, 1e-3, 0.2)
     x0, t = rng.normal((3, 5, 3)), np.array([3, 17, 30])
     leaves = {**den.params, "cond": cond}
-    want = _loss_and_grads(
-        lambda: _reference_ddpm_loss(den, x0, cond, t, target, sched, mask), leaves
-    )
-    got = _loss_and_grads(lambda: training_loss_graph(den, x0, cond, t, target, sched, mask), leaves)
+    want = _loss_and_grads(lambda: _reference_ddpm_loss(den, x0, cond, t, target, sched), leaves)
+    got = _loss_and_grads(lambda: training_loss_graph(den, x0, cond, t, target, sched), leaves)
     assert abs(got[0] - want[0]) <= 1e-15
     for k in leaves:
         assert np.array_equal(got[1][k], want[1][k]), k
@@ -503,21 +491,14 @@ def test_masked_mse_matches_per_loss_references(rng):
     leaves = {**net.params, "cond": cond}
     for training in (False, True):
         want = _loss_and_grads(
-            lambda: _reference_baseline_loss(net, cond, target, mask, Rng(5), training), leaves
+            lambda: _reference_baseline_loss(net, cond, target, Rng(5), training), leaves
         )
         got = _loss_and_grads(
-            lambda: baseline_loss_graph(net, cond, target, mask, Rng(5), training), leaves
+            lambda: baseline_loss_graph(net, cond, target, Rng(5), training), leaves
         )
         assert abs(got[0] - want[0]) <= 1e-15
         for k in leaves:
             assert np.array_equal(got[1][k], want[1][k]), (training, k)
 
-    losses = {
-        "training_loss": lambda m: training_loss_graph(den, x0, cond, t, target, sched, m),
-        "baseline_loss": lambda m: baseline_loss_graph(net, cond, target, m, Rng(5), True),
-    }
-    for name, loss in losses.items():
-        with pytest.raises(ValueError, match=f"{name}: mask excludes every position"):
-            loss(np.zeros((3, 5)))
-        with pytest.raises(ShapeError, match=f"{name}: mask"):
-            loss(np.ones((3, 4)))
+    with pytest.raises(ShapeError, match="baseline_loss: prediction"):
+        baseline_loss_graph(net, cond, target[..., :2], Rng(5), True)
