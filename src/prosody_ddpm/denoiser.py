@@ -5,7 +5,7 @@ and a diffusion step index to a noise estimate of the same shape as the
 input.  Residual layers of gated dilated convolutions with per-layer
 condition injection follow the usual conditional-WaveNet recipe; the
 diffusion step enters as a sinusoidal embedding passed through a
-two-layer projection and broadcast-added to every layer's input.  Both
+two-layer projection and added once to the residual stream.  Both
 networks take their sizes from the run :class:`~prosody_ddpm.config.Config`.
 Inputs are unpadded: a batch stacks sequences of one length, and every
 position is a real token.
@@ -85,7 +85,7 @@ class ConditionEncoder:
 class Conditioning(NamedTuple):
     """Denoiser inputs that stay fixed over a whole reverse chain."""
 
-    proj: list[Tensor]  # per layer: condition projection, (..., length, 2C)
+    proj: list[Tensor]  # per layer: condition projection + conv bias, (..., length, 2C)
     skip_b: Tensor  # sum of the per-layer skip biases, (C,)
 
 
@@ -93,8 +93,8 @@ class Denoiser:
     """Noise predictor ``(x_t, c, t) -> eps_hat`` with ``x_t``-shaped output.
 
     Each residual layer is DiffWave-shaped: one dilated conv with ``2C``
-    outputs (filter and gate), one ``2C``-wide condition projection, a
-    single gate primitive, and a residual 1x1.  The per-layer skip 1x1s
+    outputs (filter and gate) biased by a ``2C``-wide condition projection,
+    a single gate primitive, and a residual 1x1.  The per-layer skip 1x1s
     act as one projection of the concatenated gate outputs.  Everything
     that depends only on the condition or the step is computed by
     :meth:`condition` and :meth:`steps`, once per chain (once per step in
@@ -151,13 +151,14 @@ class Denoiser:
 
     def condition(self, cond: Tensor) -> Conditioning:
         """Chain constants for ``cond`` (``(..., length, cond_dim)``): its
-        per-layer projections and the summed skip bias."""
+        per-layer projections plus conv biases, and the summed skip bias."""
         c, p = self.config.denoiser, self.params
         if cond.data.ndim < 2 or cond.shape[-1] != c.cond_dim:
             raise nm.ShapeError("denoiser", f"condition {cond.shape} needs {c.cond_dim} channels")
-        proj = [
-            nm.matmul(cond, p[f"layer{i}.cond.w"], p[f"layer{i}.cond.b"]) for i in range(c.layers)
-        ]
+        proj = []
+        for i in range(c.layers):
+            b = nm.add(p[f"layer{i}.cond.b"], p[f"layer{i}.conv.b"])
+            proj.append(nm.matmul(cond, p[f"layer{i}.cond.w"], b))
         return Conditioning(proj, nm.matmul(Tensor(np.ones(c.layers)), p["skip.b"]))
 
     def steps(self, t) -> Tensor:
@@ -174,7 +175,8 @@ class Denoiser:
         """Noise estimate for ``x_t`` of shape ``(..., length, features)``.
 
         ``cond`` comes from :meth:`condition` and must match ``x_t`` on all
-        axes but the last; ``e`` comes from :meth:`steps`.
+        axes but the last; ``e`` comes from :meth:`steps`.  ``e`` joins the
+        residual stream once, which carries it to every layer's conv.
         """
         c, p = self.config.denoiser, self.params
         if x_t.shape[-1] != len(DIM_NAMES):
@@ -183,14 +185,14 @@ class Denoiser:
             raise nm.ShapeError(
                 "denoiser", f"condition {cond.proj[0].shape} does not match input {x_t.shape}"
             )
-        h = nm.relu(nm.matmul(x_t, p["in.w"], p["in.b"]))
+        h = nm.add(nm.relu(nm.matmul(x_t, p["in.w"], p["in.b"])), e)
         gated = []
         cycle = c.dilation_cycle
         for i in range(c.layers):
             pre = f"layer{i}"
             dil = cycle[i % len(cycle)]
-            z = nm.conv1d_dilated(nm.add(h, e), p[f"{pre}.conv.w"], p[f"{pre}.conv.b"], dil)
-            gated.append(nm.gated_tanh(nm.add(z, cond.proj[i])))
+            z = nm.conv1d_dilated(h, p[f"{pre}.conv.w"], cond.proj[i], dil)
+            gated.append(nm.gated_tanh(z))
             if i < c.layers - 1:
                 h = nm.add(h, nm.matmul(gated[-1], p[f"{pre}.res.w"], p[f"{pre}.res.b"]))
         skip = nm.relu(nm.matmul(nm.concat(gated), p["skip.w"], cond.skip_b))

@@ -2,12 +2,12 @@
 
 Everything the networks in this package need runs through the small
 primitive set defined here: elementwise arithmetic, matmul with an
-optional bias, concatenation, a non-causal dilated 1-d convolution, the
-usual activations and the WaveNet gate, layer normalization, dropout,
-embedding lookup, full reductions, and the mean-squared error built
-from them.  Each primitive computes its forward value with numpy
-and, when a :class:`Tape` is active on the current thread, records
-enough state to play the step backwards.
+optional bias, concatenation, a non-causal dilated 1-d convolution
+whose bias may vary by position, the usual activations and the WaveNet
+gate, layer normalization, dropout, embedding lookup, full reductions,
+and the mean-squared error built from them.  Each primitive computes
+its forward value with numpy and, when a :class:`Tape` is active on the
+current thread, records enough state to play the step backwards.
 
 Conventions:
 
@@ -359,7 +359,9 @@ def conv1d_dilated(x: Tensor, w: Tensor, b: Tensor | None = None, dilation: int 
     sides so the output length equals the input length.  The padding is
     implicit: each off-centre tap adds into the shifted slice of the
     output it reaches, and a tap whose offset is at least the length only
-    ever sees padding and is skipped.
+    ever sees padding and is skipped.  The bias ends in ``out_channels``
+    and broadcasts to the output, e.g. ``(out_channels,)`` or a
+    per-position ``(..., length, out_channels)``.
     """
     if dilation < 1:
         raise ShapeError("conv1d_dilated", f"dilation must be >= 1, got {dilation}")
@@ -370,7 +372,7 @@ def conv1d_dilated(x: Tensor, w: Tensor, b: Tensor | None = None, dilation: int 
         raise ShapeError("conv1d_dilated", f"kernel must be odd for symmetric padding, got {kernel}")
     if x.data.ndim < 2 or x.shape[-1] != c_in:
         raise ShapeError("conv1d_dilated", f"input {x.shape} does not match weight {w.shape}")
-    if b is not None and b.shape != (c_out,):
+    if b is not None and b.shape[-1:] != (c_out,):
         raise ShapeError("conv1d_dilated", f"bias {b.shape} does not match out channels {c_out}")
 
     length = x.shape[-2]
@@ -388,7 +390,10 @@ def conv1d_dilated(x: Tensor, w: Tensor, b: Tensor | None = None, dilation: int 
                 taps.append((k, slice(None, length + off), slice(-off, None)))
     out = xd @ wd[centre]
     if b is not None:
-        out += b.data
+        try:
+            out += b.data
+        except ValueError:
+            raise ShapeError("conv1d_dilated", f"bias {b.shape} does not fit {out.shape}") from None
     for k, src, dst in taps:
         out[..., dst, :] += xd[..., src, :] @ wd[k]
 
@@ -402,7 +407,10 @@ def conv1d_dilated(x: Tensor, w: Tensor, b: Tensor | None = None, dilation: int 
             dx[..., src, :] += ds @ wd[k].T
         grads = [(x, dx), (w, dw)]
         if b is not None:
-            grads.append((b, dout.reshape(-1, c_out).sum(axis=0)))
+            # Sum the leading axes the bias lacks as one, in matmul's order.
+            lead = dout.ndim - b.data.ndim
+            db = dout.reshape((-1,) + dout.shape[lead:]).sum(axis=0) if lead else dout
+            grads.append((b, _unbroadcast(db, b.shape)))
         return grads
 
     return _emit("conv1d_dilated", out, back)

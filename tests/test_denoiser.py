@@ -1,5 +1,8 @@
 """Denoiser topology, condition encoder, and parameter accounting."""
 
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -99,6 +102,27 @@ class TestForward:
             run(den, x, cond, 2)  # length mismatch 6 vs 5
         cond = enc.forward(np.arange(6) % 5)
         np.testing.assert_array_equal(run(den, x, cond, 2).data, run(den, x, cond, 2).data)
+
+
+def test_forward_tape_does_only_input_dependent_work(rng):
+    # One reverse step at six layers records 31 primitives.  The step
+    # features join the residual stream once and each condition
+    # projection is its conv's bias, so no add takes a conv output and
+    # the only adds are the step join and the five residual adds.
+    cfg = Config(denoiser=replace(SMALL.denoiser, layers=6, dilation_cycle=(1, 2, 4)))
+    den = Denoiser.init(cfg, Rng(0))
+    cond = den.condition(Tensor(rng.normal((2, 5, 6))))
+    e = den.steps(np.array([3, 9]))
+    with Tape() as tape:
+        den.forward(Tensor(rng.normal((2, 5, 3))), cond, e)
+    ops = Counter(op for op, _, _ in tape.records)
+    assert ops == {"matmul": 9, "conv1d_dilated": 6, "gated_tanh": 6, "add": 6, "relu": 3,
+                   "concat": 1}
+    conv_outs = {id(out) for op, out, _ in tape.records if op == "conv1d_dilated"}
+    for op, out, back in tape.records:
+        if op == "add":
+            # An add's backward names its two inputs.
+            assert not conv_outs & {id(inp) for inp, _ in back(np.ones(out.shape))}
 
 
 class TestStepEmbedding:

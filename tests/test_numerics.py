@@ -44,14 +44,16 @@ class TestForwardValues:
 
     def test_conv_matches_direct_convolution(self, rng):
         # Independent oracle: explicit loop over taps with zero padding.
-        # The last three cases have dilation >= length, where every
-        # off-centre tap sees only padding.
-        cases = [((9, 3), 3, 2), ((9, 3), 5, 3), ((2, 7, 3), 5, 2), ((4, 3), 3, 4), ((4, 3), 3, 6),
-                 ((4, 3), 5, 9)]
-        for shape, kernel, dilation in cases:
+        # The three cases of length 4 have dilation >= length, where every
+        # off-centre tap sees only padding.  The last two take a
+        # per-position bias, one broadcast over the batch.
+        cases = [((9, 3), 3, 2, (4,)), ((9, 3), 5, 3, (4,)), ((2, 7, 3), 5, 2, (4,)),
+                 ((4, 3), 3, 4, (4,)), ((4, 3), 3, 6, (4,)), ((4, 3), 5, 9, (4,)),
+                 ((2, 7, 3), 5, 2, (7, 4)), ((2, 7, 3), 3, 4, (2, 7, 4))]
+        for shape, kernel, dilation, bias_shape in cases:
             x = rng.normal(shape)
             w = rng.normal((kernel, 3, 4))
-            b = rng.normal(4)
+            b = rng.normal(bias_shape)
             out = nm.conv1d_dilated(Tensor(x), Tensor(w), Tensor(b), dilation=dilation).data
             length = shape[-2]
             expect = np.zeros(shape[:-1] + (4,)) + b
@@ -61,6 +63,15 @@ class TestForwardValues:
                     if 0 <= src < length:
                         expect[..., pos, :] += x[..., src, :] @ w[k]
             np.testing.assert_allclose(out, expect, atol=1e-12)
+
+    def test_conv_bias_shape_errors(self, rng):
+        x, w = Tensor(rng.normal((2, 5, 3))), Tensor(rng.normal((3, 3, 4)))
+        for shape in [(3,), (4, 1), (2, 5, 3)]:
+            with pytest.raises(ShapeError, match="out channels 4"):
+                nm.conv1d_dilated(x, w, Tensor(np.zeros(shape)))
+        for shape in [(4, 4), (3, 5, 4), (1, 2, 5, 4)]:
+            with pytest.raises(ShapeError, match="does not fit"):
+                nm.conv1d_dilated(x, w, Tensor(np.zeros(shape)))
 
     def test_conv_shift_equivariance(self, rng):
         # Non-causal: shifting the input right by k shifts the output right
@@ -175,7 +186,8 @@ class TestBackward:
     @pytest.mark.parametrize(
         "name",
         ["add", "sub", "mul", "tanh", "sigmoid", "relu", "matmul", "conv", "conv_dil",
-         "layer_norm", "embed", "dropout", "sum", "mean", "gated_tanh", "concat", "matmul_bias"],
+         "layer_norm", "embed", "dropout", "sum", "mean", "gated_tanh", "concat", "matmul_bias",
+         "conv_bias_rows", "conv_bias_broadcast", "conv_bias_per_row"],
     )
     def test_every_primitive_finite_differences(self, name, rng):
         x = Tensor(rng.normal((4, 6)) + 0.3)  # offset keeps relu off its kink
@@ -236,6 +248,16 @@ class TestBackward:
                                          nm.matmul(p["a"], p["w"], p["b"]))),
             ),
         }
+        # Broadcast conv biases: one per row and position, one per position
+        # shared by the rows, and one per row shared by the positions.
+        # Kernel 5 at dilation 2 skips the outer taps of a 4-long input.
+        x3, w5 = Tensor(rng.normal((2, 4, 6))), Tensor(rng.normal((5, 6, 2)))
+        for key, bias_shape in [("conv_bias_rows", (2, 4, 2)), ("conv_bias_broadcast", (4, 2)),
+                                ("conv_bias_per_row", (2, 1, 2))]:
+            builders[key] = (
+                {"a": x3, "w": w5, "b": Tensor(rng.normal(bias_shape))},
+                lambda p: nm.mean(nm.tanh(nm.conv1d_dilated(p["a"], p["w"], p["b"], dilation=2))),
+            )
         tensors, fn = builders[name]
         fd_check(fn, tensors)
 
