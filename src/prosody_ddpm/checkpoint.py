@@ -12,22 +12,22 @@ Layout (all integers little-endian):
 
 Save -> load -> save is byte-identical; parameter order is preserved.
 Files of earlier versions are rejected: their config snapshots hold
-keys this version no longer knows.  A save writes a sibling temporary
-file and renames it over the target, so a write that fails partway
-leaves the previous checkpoint intact.
+keys this version no longer knows.  A save goes through
+:func:`~prosody_ddpm.data.replace_file`, so a write that fails partway
+leaves the previous checkpoint intact, and the replaced file is freed off
+the caller's path.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import Config, canonical_text, parse_config
-from .data import NormStats
+from .data import NormStats, replace_file
 from .numerics import Tensor
 
 MAGIC = b"PPCK"
@@ -120,15 +120,8 @@ def _write_checkpoint(ck: Checkpoint, write) -> None:
 def save_checkpoint(ck: Checkpoint, path) -> None:
     if ck.kind not in KINDS:
         raise CheckpointError(f"unknown model kind {ck.kind!r}")
-    tmp = f"{os.fspath(path)}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            _write_checkpoint(ck, fh.write)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    with replace_file(path, "wb") as fh:
+        _write_checkpoint(ck, fh.write)
 
 
 def load_checkpoint(path) -> Checkpoint:

@@ -34,6 +34,7 @@ from .data import (
     generate_corpus,
     load_corpus,
     load_spec,
+    replace_file,
     save_corpus,
     save_spec,
 )
@@ -77,7 +78,7 @@ def _run_dir(base: str, config: Config) -> str:
 
 
 def _write_config_log(config: Config, overrides: list[tuple[str, str]], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with replace_file(path) as fh:
         fh.write(canonical_text(config))
         if overrides:
             fh.write("\n# command-line overrides\n")
@@ -212,7 +213,7 @@ def cmd_eval(args, extra: list[str]) -> int:
     )
     os.makedirs(args.out, exist_ok=True)
     report_path = os.path.join(args.out, "report.txt")
-    with open(report_path, "w", encoding="utf-8") as fh:
+    with replace_file(report_path) as fh:
         fh.write(render_report(report))
     write_histograms(report, args.out)
     print(f"wrote {report_path}")

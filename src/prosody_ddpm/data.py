@@ -10,7 +10,11 @@ split only.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
+import queue
+import threading
 from dataclasses import asdict, dataclass
 from functools import cached_property
 
@@ -207,6 +211,54 @@ def _physical(raw: np.ndarray) -> ProsodySequence:
 
 
 # --------------------------------------------------------------------------
+# Whole-file writes
+# --------------------------------------------------------------------------
+
+RELEASE_THREAD = "replace_file-release"
+_released: queue.SimpleQueue = queue.SimpleQueue()
+_release_lock = threading.Lock()
+_release_worker: threading.Thread | None = None
+
+
+def _close_released() -> None:
+    while True:
+        fd = _released.get()
+        os.close(fd)
+
+
+@contextlib.contextmanager
+def replace_file(path, mode: str = "w"):
+    """Yield a file (``mode`` "w": UTF-8 text, "wb": bytes) whose content
+    replaces ``path`` atomically: it is written to ``<path>.tmp`` and renamed
+    over ``path``.  If the block raises, the ``.tmp`` is removed and ``path``
+    keeps its old bytes.  The replaced file is held open across the rename
+    and closed on one background thread, because on a filesystem mounted with
+    ``discard`` the last close of an inode waits while its blocks are freed.
+    """
+    global _release_worker
+    tmp = f"{os.fspath(path)}.tmp"
+    old = None
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        with contextlib.suppress(OSError):  # holding the old file is only a speed-up
+            old = os.open(path, os.O_RDONLY)
+        os.replace(tmp, path)
+    except BaseException:
+        if old is not None:
+            os.close(old)
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+    if old is not None:
+        with _release_lock:
+            if _release_worker is None or not _release_worker.is_alive():
+                _release_worker = threading.Thread(target=_close_released, name=RELEASE_THREAD, daemon=True)
+                _release_worker.start()
+        _released.put(old)
+
+
+# --------------------------------------------------------------------------
 # Corpus file format
 # --------------------------------------------------------------------------
 #
@@ -216,6 +268,8 @@ def _physical(raw: np.ndarray) -> ProsodySequence:
 
 
 def save_corpus(corpus: Corpus, path) -> None:
+    """Write ``corpus`` in the format above, replacing ``path`` through
+    :func:`replace_file`: a failed write keeps the previous file."""
     lines = []
     for u in corpus.utterances:
         lines.append(
@@ -230,7 +284,7 @@ def save_corpus(corpus: Corpus, path) -> None:
                 ]
             )
         )
-    with open(path, "w", encoding="utf-8") as fh:
+    with replace_file(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -346,7 +400,7 @@ class SyntheticSpec:
 
 
 def save_spec(spec: SyntheticSpec, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with replace_file(path) as fh:
         json.dump(asdict(spec), fh, indent=1, sort_keys=True, default=np.ndarray.tolist)
         fh.write("\n")
 

@@ -15,13 +15,14 @@ every system against it.  :func:`evaluate_predictor` and
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .data import DIM_NAMES, Corpus, ProsodySequence, TokenSequence
+from .data import DIM_NAMES, Corpus, ProsodySequence, TokenSequence, replace_file
 from .numerics import Rng
 
 LN2 = float(np.log(2.0))
@@ -369,15 +370,13 @@ def render_report(report: EvalReport) -> str:
 
 def write_histograms(report: EvalReport, directory) -> list[str]:
     """One TSV per dimension: bin edges, ground truth, then each system."""
-    import os
-
     written = []
     for dim in DIM_NAMES:
         b = report.reference.binnings[dim]
         edges = b.edges()
         path = os.path.join(str(directory), f"hist_{dim}.tsv")
         names = [s.name for s in report.systems]
-        with open(path, "w", encoding="utf-8") as fh:
+        with replace_file(path) as fh:
             fh.write("bin_lo\tbin_hi\tground_truth\t" + "\t".join(names) + "\n")
             for i in range(b.bins):
                 cols = [repr(float(edges[i])), repr(float(edges[i + 1])), f"{report.reference.hist[dim][i]:.8f}"]

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import errno
+import os
+
 import numpy as np
 import pytest
 
+import prosody_ddpm.data as data
 import prosody_ddpm.numerics as nm
 
 # Gradient checks: central differences at h=1e-5, 1e-4 relative tolerance
@@ -73,3 +77,33 @@ def jitter_params(params: dict[str, nm.Tensor], rng: nm.Rng, scale: float = 0.05
     non-differentiable point)."""
     for k, p in params.items():
         params[k] = nm.Tensor(p.data + rng.normal(p.shape) * scale)
+
+
+@pytest.fixture
+def disk_full(monkeypatch):
+    """After ``disk_full(name)``, writes of files named ``name``
+    through ``data.replace_file`` write half of what they are given and
+    then fail like a full disk; other files are written as usual."""
+
+    class DiskFull:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, chunk):
+            self.fh.write(chunk[: len(chunk) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    def fail(name: str) -> None:
+        def open_tmp(file, *args, **kwargs):
+            fh = open(file, *args, **kwargs)
+            return DiskFull(fh) if os.path.basename(file) == f"{name}.tmp" else fh
+
+        monkeypatch.setattr(data, "open", open_tmp, raising=False)
+
+    return fail

@@ -485,3 +485,40 @@ class TestCommands:
         assert (out / "loss_log.tsv").read_bytes() == full
         full_ck = (tmp_path / "full" / "checkpoint.bin").read_bytes()
         assert (out / "checkpoint.bin").read_bytes() == full_ck
+
+    def test_sample_replaces_previous_output(self, untrained, tmp_path):
+        out = tmp_path / "s.tsv"
+        argv = ["sample", "--checkpoint", untrained["ddpm"], "--tokens", "0 1 2", "--out", str(out)]
+        assert main(argv + ["-n", "5"]) == 0
+        assert len(load_corpus(out)) == 5
+        assert main(argv + ["-n", "1"]) == 0
+        assert len(out.read_text().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "name", ["corpus.tsv", "corpus.tsv.spec.json", "config.txt", "report.txt", "hist_energy.tsv"]
+    )
+    def test_failed_write_keeps_previous_artifact(
+        self, name, untrained, tiny_corpus_file, tmp_path, disk_full
+    ):
+        # Each command runs once, then again with an argument that changes
+        # the file's content while writes of ``name`` fail halfway.
+        gen = ["gen-data", "--out", str(tmp_path / "corpus.tsv"), "--utterances", "4"]
+        train = ["train", "--model", "baseline", "--corpus", tiny_corpus_file, "--out", str(tmp_path),
+                 "--train.steps", "0"] + [f"--{key}={val}" for key, val in TINY]
+        evaluate = ["eval", "--ddpm", untrained["ddpm"], "--baseline", untrained["baseline"],
+                    "--corpus", tiny_corpus_file, "--out", str(tmp_path), "--eval.n_samples", "2"]
+        argv, change = {
+            "corpus.tsv": (gen, ["--seed", "1"]),
+            "corpus.tsv.spec.json": (gen, ["--vocab", "7"]),
+            "config.txt": (train, ["--train.seed", "1"]),
+            "report.txt": (evaluate, ["--eval.seed", "1"]),
+            "hist_energy.tsv": (evaluate, ["--eval.seed", "1"]),
+        }[name]
+        assert main(argv) == 0
+        before = sorted(p.name for p in tmp_path.iterdir())
+        old = (tmp_path / name).read_bytes()
+        disk_full(name)
+        with pytest.raises(OSError, match="No space"):
+            main(argv + change)
+        assert (tmp_path / name).read_bytes() == old
+        assert sorted(p.name for p in tmp_path.iterdir()) == before

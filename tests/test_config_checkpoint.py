@@ -1,6 +1,5 @@
 """Config parsing/validation and binary checkpoint round trips."""
 
-import errno
 import re
 import struct
 from dataclasses import fields, replace
@@ -284,35 +283,16 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=re.escape(message)):
             load_checkpoint(path)
 
-    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
-        import prosody_ddpm.checkpoint as checkpoint
-
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, disk_full):
         path = tmp_path / "keep.bin"
         save_checkpoint(_dummy_checkpoint(), path)
         before = path.read_bytes()
 
-        class DiskFull:
-            # Writes half of what it is given, then fails like a full disk.
-            def __init__(self, fh):
-                self.fh = fh
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self.fh.close()
-
-            def write(self, data):
-                self.fh.write(data[: len(data) // 2])
-                raise OSError(errno.ENOSPC, "No space left on device")
-
-        monkeypatch.setattr(checkpoint, "open", lambda *a, **k: DiskFull(open(*a, **k)),
-                            raising=False)
+        disk_full("keep.bin")
         ck = _dummy_checkpoint()
         ck.step = 8
         with pytest.raises(OSError, match="No space"):
             save_checkpoint(ck, path)
-        monkeypatch.undo()
         assert path.read_bytes() == before
         assert load_checkpoint(path).step == 7
         assert sorted(p.name for p in tmp_path.iterdir()) == ["keep.bin"]

@@ -1,6 +1,9 @@
 """Corpus transforms, synthetic generation oracles, and the file format."""
 
 import dataclasses
+import os
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +14,7 @@ from hypothesis import strategies as st
 from prosody_ddpm.config import Config, DataSection
 from prosody_ddpm.data import (
     MAX_FRAMES,
+    RELEASE_THREAD,
     ClassSpec,
     Corpus,
     CorpusError,
@@ -368,6 +372,48 @@ class TestCorpusFile:
             path.write_text(f"u0\t0\t100.0\t1.0\t{duration}\n")
             with pytest.raises(CorpusError, match=r"line 1 \(u0\)"):
                 load_corpus(path)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts /proc/self/fd")
+    def test_replaced_file_is_released_off_the_callers_path(self, tmp_path, monkeypatch):
+        # The replaced file's last close, which may wait for its blocks to be
+        # freed, happens on the release thread: block it there and check
+        # that the writer has already returned.
+        def open_fds():
+            return len(os.listdir("/proc/self/fd"))
+
+        def settle(count):
+            deadline = time.monotonic() + 10
+            while open_fds() != count and time.monotonic() < deadline:
+                time.sleep(0.01)
+            return open_fds()
+
+        old, new = (generate_corpus(desk_bench_spec(4), 3, (2, 4), Rng(seed)) for seed in (1, 2))
+        save_corpus(new, tmp_path / "expected.tsv")
+        path = tmp_path / "c.tsv"
+        save_corpus(old, path)
+        close, entered, gate = os.close, threading.Event(), threading.Event()
+
+        def blocked_close(fd):
+            on_release_thread = threading.current_thread().name == RELEASE_THREAD
+            if on_release_thread and os.readlink(f"/proc/self/fd/{fd}") == f"{path} (deleted)":
+                entered.set()
+                gate.wait(10)
+            close(fd)
+
+        monkeypatch.setattr(os, "close", blocked_close)
+        try:
+            save_corpus(new, path)
+            assert entered.wait(10)
+            assert path.read_bytes() == (tmp_path / "expected.tsv").read_bytes()
+            while_held = open_fds()
+        finally:
+            gate.set()
+        assert settle(while_held - 1) == while_held - 1
+        for i in range(20):
+            save_corpus((old, new)[i % 2], path)
+        assert sum(t.name == RELEASE_THREAD for t in threading.enumerate()) == 1
+        assert settle(while_held - 1) == while_held - 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.tsv", "expected.tsv"]
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=20, deadline=None)
