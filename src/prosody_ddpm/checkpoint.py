@@ -11,8 +11,8 @@ Layout (all integers little-endian):
   every parameter in parameter order (absent only before the first step).
 
 Save -> load -> save is byte-identical; parameter order is preserved.
-Files of earlier versions are rejected: their config snapshots hold
-keys this version no longer knows.  A save goes through
+Files of earlier versions are rejected: their config keys or parameter
+layouts differ from this version's.  A save goes through
 :func:`~prosody_ddpm.data.replace_file`, so a write that fails partway
 leaves the previous checkpoint intact, and the replaced file is freed off
 the caller's path.
@@ -31,7 +31,7 @@ from .data import NormStats, replace_file
 from .numerics import Tensor
 
 MAGIC = b"PPCK"
-VERSION = 4
+VERSION = 5
 KINDS = ("ddpm", "baseline")
 
 

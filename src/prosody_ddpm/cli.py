@@ -38,10 +38,11 @@ from .data import (
     save_corpus,
     save_spec,
 )
+from .denoiser import count_parameters
 from .evaluation import build_report, measure_rtf, render_report, write_histograms
 from .numerics import NonFiniteError, Rng
 from .predictors import predictor_from_checkpoint
-from .training import TrainingDiverged, train_model
+from .training import TrainingDiverged, model_from_checkpoint, train_model
 
 
 def _parse_overrides(extra: list[str]) -> list[tuple[str, str]]:
@@ -197,18 +198,24 @@ def cmd_eval(args, extra: list[str]) -> int:
     if os.path.exists(spec_path):
         spec = load_spec(spec_path)
     predictors = [predictor_from_checkpoint(ck_d, "ddpm"), predictor_from_checkpoint(ck_b, "baseline")]
+    metadata = {
+        "config_hash": config_hash(config),
+        "corpus": os.path.basename(args.corpus),
+        "ddpm_step": str(ck_d.step),
+        "baseline_step": str(ck_b.step),
+    }
+    # The paper's parameter claim, in the same report as its JS numbers.
+    for ck in (ck_d, ck_b):
+        model = model_from_checkpoint(ck)
+        metadata[f"{ck.kind}_network_parameters"] = str(count_parameters(model.net))
+        metadata[f"{ck.kind}_encoder_parameters"] = str(count_parameters(model.cond))
     report = build_report(
         corpus,
         predictors,
         seed=config.eval.seed,
         n_samples_per_utterance=config.eval.n_samples,
         bins=config.eval.bins,
-        metadata={
-            "config_hash": config_hash(config),
-            "corpus": os.path.basename(args.corpus),
-            "ddpm_step": str(ck_d.step),
-            "baseline_step": str(ck_b.step),
-        },
+        metadata=metadata,
         synthetic_spec=spec,
     )
     os.makedirs(args.out, exist_ok=True)

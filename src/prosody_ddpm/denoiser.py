@@ -13,8 +13,6 @@ position is a real token.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from . import numerics as nm
@@ -82,13 +80,6 @@ class ConditionEncoder:
         return nm.conv1d_dilated(h, p["cond.conv2.w"], p["cond.conv2.b"])
 
 
-class Conditioning(NamedTuple):
-    """Denoiser inputs that stay fixed over a whole reverse chain."""
-
-    proj: list[Tensor]  # per layer: condition projection + conv bias, (..., length, 2C)
-    skip_b: Tensor  # sum of the per-layer skip biases, (C,)
-
-
 class Denoiser:
     """Noise predictor ``(x_t, c, t) -> eps_hat`` with ``x_t``-shaped output.
 
@@ -130,7 +121,6 @@ class Denoiser:
         for i in range(c.layers):
             pre = f"layer{i}"
             params[f"{pre}.conv.w"] = fused((k, ch, ch), k * ch)
-            params[f"{pre}.conv.b"] = nm.zeros(2 * ch)
             params[f"{pre}.cond.w"] = fused((c.cond_dim, ch), c.cond_dim)
             params[f"{pre}.cond.b"] = nm.zeros(2 * ch)
             # The last layer feeds only the skip aggregation; a residual
@@ -140,7 +130,7 @@ class Denoiser:
                 params[f"{pre}.res.b"] = nm.zeros(ch)
             skip_w.append(nm.uniform_fanin(rng, (ch, ch), ch).data)
         params["skip.w"] = Tensor(np.concatenate(skip_w, axis=0), _checked_op=None)
-        params["skip.b"] = nm.zeros((c.layers, ch))
+        params["skip.b"] = nm.zeros(ch)
         params["post.w"] = nm.uniform_fanin(rng, (ch, ch), ch)
         params["post.b"] = nm.zeros(ch)
         # Zero-initialized head so the initial noise estimate is exactly 0,
@@ -149,17 +139,14 @@ class Denoiser:
         params["out.b"] = nm.zeros(f)
         return cls(config, params)
 
-    def condition(self, cond: Tensor) -> Conditioning:
-        """Chain constants for ``cond`` (``(..., length, cond_dim)``): its
-        per-layer projections plus conv biases, and the summed skip bias."""
+    def condition(self, cond: Tensor) -> list[Tensor]:
+        """Chain constants for ``cond`` (``(..., length, cond_dim)``): each
+        layer's condition projection, ``(..., length, 2C)``, which is that
+        layer's conv bias."""
         c, p = self.config.denoiser, self.params
         if cond.data.ndim < 2 or cond.shape[-1] != c.cond_dim:
             raise nm.ShapeError("denoiser", f"condition {cond.shape} needs {c.cond_dim} channels")
-        proj = []
-        for i in range(c.layers):
-            b = nm.add(p[f"layer{i}.cond.b"], p[f"layer{i}.conv.b"])
-            proj.append(nm.matmul(cond, p[f"layer{i}.cond.w"], b))
-        return Conditioning(proj, nm.matmul(Tensor(np.ones(c.layers)), p["skip.b"]))
+        return [nm.matmul(cond, p[f"layer{i}.cond.w"], p[f"layer{i}.cond.b"]) for i in range(c.layers)]
 
     def steps(self, t) -> Tensor:
         """Step-MLP output for a scalar step, ``(1, C)``, or an integer array
@@ -171,7 +158,7 @@ class Denoiser:
         e = nm.matmul(Tensor(emb), p["step.fc1.w"], p["step.fc1.b"])
         return nm.matmul(nm.silu(e), p["step.fc2.w"], p["step.fc2.b"])
 
-    def forward(self, x_t: Tensor, cond: Conditioning, e: Tensor) -> Tensor:
+    def forward(self, x_t: Tensor, cond: list[Tensor], e: Tensor) -> Tensor:
         """Noise estimate for ``x_t`` of shape ``(..., length, features)``.
 
         ``cond`` comes from :meth:`condition` and must match ``x_t`` on all
@@ -181,9 +168,9 @@ class Denoiser:
         c, p = self.config.denoiser, self.params
         if x_t.shape[-1] != len(DIM_NAMES):
             raise nm.ShapeError("denoiser", f"expected {len(DIM_NAMES)} features, got {x_t.shape}")
-        if cond.proj[0].shape[:-1] != x_t.shape[:-1]:
+        if cond[0].shape[:-1] != x_t.shape[:-1]:
             raise nm.ShapeError(
-                "denoiser", f"condition {cond.proj[0].shape} does not match input {x_t.shape}"
+                "denoiser", f"condition {cond[0].shape} does not match input {x_t.shape}"
             )
         h = nm.add(nm.relu(nm.matmul(x_t, p["in.w"], p["in.b"])), e)
         gated = []
@@ -191,11 +178,11 @@ class Denoiser:
         for i in range(c.layers):
             pre = f"layer{i}"
             dil = cycle[i % len(cycle)]
-            z = nm.conv1d_dilated(h, p[f"{pre}.conv.w"], cond.proj[i], dil)
+            z = nm.conv1d_dilated(h, p[f"{pre}.conv.w"], cond[i], dil)
             gated.append(nm.gated_tanh(z))
             if i < c.layers - 1:
                 h = nm.add(h, nm.matmul(gated[-1], p[f"{pre}.res.w"], p[f"{pre}.res.b"]))
-        skip = nm.relu(nm.matmul(nm.concat(gated), p["skip.w"], cond.skip_b))
+        skip = nm.relu(nm.matmul(nm.concat(gated), p["skip.w"], p["skip.b"]))
         out = nm.relu(nm.matmul(skip, p["post.w"], p["post.b"]))
         return nm.matmul(out, p["out.w"], p["out.b"])
 

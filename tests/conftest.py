@@ -60,7 +60,7 @@ def loss_and_grads(make_loss):
 
 def pytest_collection_modifyitems(items):
     # Tests that use the acceptance suite's session ``bench`` fixture wait
-    # for its training run (about five minutes); ``-m "not slow"`` skips them.
+    # for its training run (about a minute on 2 CPUs); ``-m "not slow"`` skips them.
     for item in items:
         if "bench" in getattr(item, "fixturenames", ()):
             item.add_marker(pytest.mark.slow)

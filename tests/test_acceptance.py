@@ -410,12 +410,13 @@ def test_criterion_10_parameter_accounting():
         enc = ConditionEncoder.init(config, Rng(0))
         cfg, features = config.denoiser, 3
         ch, k, d, h = cfg.channels, KERNEL, cfg.cond_dim, cfg.step_hidden
-        per_layer = 2 * (k * ch * ch + ch) + 2 * (d * ch + ch) + (ch * ch + ch)
+        per_layer = 2 * k * ch * ch + 2 * (d * ch + ch) + ch * ch
         expect_den = (
             (features * ch + ch)
             + (ch * h + h)
             + (h * ch + ch)
             + cfg.layers * per_layer
+            + ch
             + (cfg.layers - 1) * (ch * ch + ch)
             + (ch * ch + ch)
             + (ch * features + features)

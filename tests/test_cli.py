@@ -18,8 +18,9 @@ from prosody_ddpm.data import (
     save_corpus,
     save_spec,
 )
+from prosody_ddpm.denoiser import count_parameters
 from prosody_ddpm.numerics import Rng, Tensor
-from prosody_ddpm.training import TrainingDiverged, train_model
+from prosody_ddpm.training import TrainingDiverged, model_from_checkpoint, train_model
 
 TINY = [
     ("schedule.steps", "20"),
@@ -349,7 +350,7 @@ class TestCommands:
         assert rc == 2
         assert f"parameter {name!r} has shape ({size},)" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("version", [2, 3])
+    @pytest.mark.parametrize("version", [2, 3, 4])
     def test_sample_rejects_older_checkpoint(self, untrained, tmp_path, capsys, version):
         with open(untrained["ddpm"], "rb") as fh:
             data = fh.read()
@@ -358,8 +359,18 @@ class TestCommands:
         rc = main(["sample", "--checkpoint", str(old), "--tokens", "0 1",
                    "--out", str(tmp_path / "s.tsv")])
         assert rc == 2
-        assert f"checkpoint format v{version} is older than v4; retrain" in capsys.readouterr().err
+        assert f"checkpoint format v{version} is older than v5; retrain" in capsys.readouterr().err
         assert not (tmp_path / "s.tsv").exists()
+
+    def test_eval_report_states_parameter_counts(self, untrained, tiny_corpus_file, tmp_path):
+        out = tmp_path / "ev"
+        assert main(["eval", "--ddpm", untrained["ddpm"], "--baseline", untrained["baseline"],
+                     "--corpus", tiny_corpus_file, "--eval.n_samples", "1", "--out", str(out)]) == 0
+        metadata = (out / "report.txt").read_text().split("[metadata]\n")[1].split("\n\n")[0]
+        for kind in ("ddpm", "baseline"):
+            model = model_from_checkpoint(load_checkpoint(untrained[kind]))
+            assert f"{kind}_network_parameters = {count_parameters(model.net)}" in metadata
+            assert f"{kind}_encoder_parameters = {count_parameters(model.cond)}" in metadata
 
     def test_eval_rejects_mismatched_stats(self, tiny_corpus_file, tmp_path, capsys):
         args = ["train", "--corpus", tiny_corpus_file]

@@ -273,13 +273,13 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=re.escape(f"{path}: malformed RNG state")):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("version", [1, 2, 3])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
     def test_older_versions_rejected(self, version, tmp_path):
         path = tmp_path / f"v{version}.bin"
         save_checkpoint(_dummy_checkpoint(), path)
         data = path.read_bytes()
         path.write_bytes(data[:4] + struct.pack("<I", version) + data[8:])
-        message = f"{path}: checkpoint format v{version} is older than v4; retrain"
+        message = f"{path}: checkpoint format v{version} is older than v5; retrain"
         with pytest.raises(CheckpointError, match=re.escape(message)):
             load_checkpoint(path)
 

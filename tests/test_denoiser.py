@@ -125,6 +125,17 @@ def test_forward_tape_does_only_input_dependent_work(rng):
             assert not conv_outs & {id(inp) for inp, _ in back(np.ones(out.shape))}
 
 
+def test_condition_tape_is_one_matmul_per_layer(rng):
+    # Each layer's condition projection carries the layer's only conv bias,
+    # so the chain constants are six biased matmuls and nothing else.
+    cfg = Config(denoiser=replace(SMALL.denoiser, layers=6, dilation_cycle=(1, 2, 4)))
+    den = Denoiser.init(cfg, Rng(0))
+    with Tape() as tape:
+        proj = den.condition(Tensor(rng.normal((2, 5, 6))))
+    assert Counter(op for op, _, _ in tape.records) == {"matmul": 6}
+    assert [p.shape for p in proj] == [(2, 5, 16)] * 6
+
+
 class TestStepEmbedding:
     def test_deterministic_function_of_t(self):
         np.testing.assert_array_equal(step_embedding(13, 16), step_embedding(13, 16))
@@ -180,14 +191,15 @@ class TestParameterAccounting:
         cfg, features = Config().denoiser, 3
         ch, k, d, h = cfg.channels, KERNEL, cfg.cond_dim, cfg.step_hidden
         per_layer = (
-            2 * (k * ch * ch + ch)  # filter and gate dilated convs
+            2 * k * ch * ch  # filter and gate dilated convs, biased by the condition projection
             + 2 * (d * ch + ch)  # condition projections for filter and gate
-            + (ch * ch + ch)  # skip 1x1
+            + ch * ch  # skip 1x1
         )
         expect = (
             (features * ch + ch)  # input projection
             + (ch * h + h) + (h * ch + ch)  # step embedding projections
             + cfg.layers * per_layer
+            + ch  # one skip bias shared by every layer's skip 1x1
             + (cfg.layers - 1) * (ch * ch + ch)  # residual 1x1 (absent on the last layer)
             + (ch * ch + ch)  # post-skip 1x1
             + (ch * features + features)  # output head
@@ -231,7 +243,9 @@ class TestGradientFlow:
 # The denoiser as first written: separate filter/gate convs and condition
 # projections per layer, one skip 1x1 per layer, and the condition and step
 # projections recomputed on every call.  The fused model must compute the
-# same function from the same seed.
+# same function from the same seed.  The reference's biases come in groups
+# that act only through their sum (a layer's conv and condition biases;
+# the per-layer skip biases), and the fused model keeps one bias per group.
 
 
 def _reference_init(c: DenoiserSection, rng: Rng) -> dict:
@@ -291,22 +305,23 @@ def _reference_forward(c: DenoiserSection, p: dict, x_t, cond, t):
     return nm.add(nm.matmul(out, p["out.w"]), p["out.b"])
 
 
-def _fuse(c: DenoiserSection, ref: dict) -> dict:
-    """Arrays of the unfused layout rearranged into the fused one."""
+def _fuse(c: DenoiserSection, ref: dict, join=sum) -> dict:
+    """Arrays of the unfused layout rearranged into the fused one; each
+    group of redundant bias copies becomes ``join`` of the copies."""
     cat = np.concatenate
     out = {k: ref[k] for k in ("in.w", "in.b", "step.fc1.w", "step.fc1.b", "step.fc2.w",
                                "step.fc2.b")}
     for i in range(c.layers):
         pre = f"layer{i}"
         out[f"{pre}.conv.w"] = cat([ref[f"{pre}.filter.w"], ref[f"{pre}.gate.w"]], axis=-1)
-        out[f"{pre}.conv.b"] = cat([ref[f"{pre}.filter.b"], ref[f"{pre}.gate.b"]])
         out[f"{pre}.cond.w"] = cat([ref[f"{pre}.cond_f.w"], ref[f"{pre}.cond_g.w"]], axis=-1)
-        out[f"{pre}.cond.b"] = cat([ref[f"{pre}.cond_f.b"], ref[f"{pre}.cond_g.b"]])
+        out[f"{pre}.cond.b"] = join([cat([ref[f"{pre}.cond_f.b"], ref[f"{pre}.cond_g.b"]]),
+                                     cat([ref[f"{pre}.filter.b"], ref[f"{pre}.gate.b"]])])
         if i < c.layers - 1:
             out[f"{pre}.res.w"] = ref[f"{pre}.res.w"]
             out[f"{pre}.res.b"] = ref[f"{pre}.res.b"]
     out["skip.w"] = cat([ref[f"layer{i}.skip.w"] for i in range(c.layers)], axis=0)
-    out["skip.b"] = np.stack([ref[f"layer{i}.skip.b"] for i in range(c.layers)])
+    out["skip.b"] = join([ref[f"layer{i}.skip.b"] for i in range(c.layers)])
     for k in ("post.w", "post.b", "out.w", "out.b"):
         out[k] = ref[k]
     return out
@@ -342,8 +357,12 @@ def test_matches_unfused_reference(rng):
         np.testing.assert_allclose(got.data, want.data, rtol=0, atol=1e-12)
         np.testing.assert_allclose(got_grads.wrt(x), want_grads.wrt(x), rtol=0, atol=1e-12)
         np.testing.assert_allclose(got_grads.wrt(cond), want_grads.wrt(cond), rtol=0, atol=1e-12)
-        want_fused = _fuse(cfg, {k: want_grads.wrt(v) for k, v in ref.items()})
+        # A fused bias's gradient equals that of each reference copy it
+        # replaces, so the copies were one parameter.
+        want_fused = _fuse(cfg, {k: want_grads.wrt(v) for k, v in ref.items()}, join=list)
         for k, p in den.params.items():
-            np.testing.assert_allclose(
-                got_grads.wrt(p), want_fused[k], rtol=0, atol=1e-12, err_msg=f"{shape} {k}"
-            )
+            copies = want_fused[k] if isinstance(want_fused[k], list) else [want_fused[k]]
+            for want in copies:
+                np.testing.assert_allclose(
+                    got_grads.wrt(p), want, rtol=0, atol=1e-12, err_msg=f"{shape} {k}"
+                )
