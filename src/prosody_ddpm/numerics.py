@@ -18,14 +18,18 @@ Conventions:
   same length, so nothing is padded and no primitive takes a mask,
 * any NaN or Inf produced by a forward or backward step is a hard error.
 
-Every primitive output gets one exact elementwise NaN/Inf check, so the
-error names its primitive whether or not a tape records, and is wrapped
-without the re-validation :class:`Tensor` gives arrays from outside,
-which at reverse-chain sizes costs about as much as the arithmetic.
+Every primitive output is proven finite or scanned.  With no tape
+recording, an output whose bound (:attr:`Tensor.bound`, derived from its
+inputs' bounds) is below ``1e300`` is finite; every other output, and
+every output and gradient while a tape records, gets one exact NaN/Inf
+scan.  Either way the error names its primitive.
 """
 
 from __future__ import annotations
 
+import builtins
+import math
+import operator
 import threading
 from typing import Callable, Iterable, Sequence
 
@@ -54,25 +58,34 @@ def _checked(op: str, arr: np.ndarray, where: str = "forward") -> None:
         raise NonFiniteError(op, where)
 
 
+# A derived bound below this proves an output finite: a factor of 1e8
+# below the float64 maximum covers the rounding of bound and primitive.
+_PROVEN = 1e300
+
+
 class Tensor:
     """Immutable float64 array participating in tape-recorded computation.
 
     A writeable C-contiguous float64 array that owns its buffer is adopted
     without a copy and marked read-only; anything else is copied.  Pass a
     copy of an array you still mean to write to.
+
+    ``bound`` bounds ``max|data|`` (None until known): a checked leaf takes
+    it from its one scan, an unchecked one computes it on first use.
     """
 
-    __slots__ = ("data",)
+    __slots__ = ("data", "bound")
 
     def __init__(self, data, *, _checked_op: str | None = "tensor"):
         # order="C" preserves 0-d shapes, unlike ascontiguousarray.
         arr = np.asarray(data, dtype=np.float64, order="C")
         if not arr.flags.writeable or arr.base is not None:
             arr = arr.copy()
-        if _checked_op is not None:
-            _checked(_checked_op, arr)
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
+        object.__setattr__(self, "bound", None)
+        if _checked_op is not None and not _bound(self) < math.inf:
+            raise NonFiniteError(_checked_op)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("Tensor is immutable")
@@ -133,18 +146,40 @@ class Tape:
         _tls.tape = None
 
 
-def _emit(op: str, out_data: np.ndarray, backward_fn: _BackwardFn) -> Tensor:
+def _bound(t: Tensor) -> float:
+    """``t.bound``, set to ``max|t.data|`` if not yet known (NaN for NaN data)."""
+    bound = t.bound
+    if bound is None:
+        bound = float(np.abs(t.data).max(initial=0.0))
+        object.__setattr__(t, "bound", bound)
+    return bound
+
+
+def _unit(t: Tensor) -> float:
+    """Bound of a squashed ``t``: 1, or NaN if ``t`` may hold NaN/Inf."""
+    return 1.0 if _bound(t) < math.inf else math.nan
+
+
+def _emit(
+    op: str, out_data: np.ndarray, backward_fn: _BackwardFn, bound: Callable[[], float]
+) -> Tensor:
     # ``out_data`` is an array the primitive has just computed: float64,
     # C-contiguous and owning its buffer, so the asarray/copy checks in
     # Tensor.__init__ would only add cost to every call.  A ufunc on 0-d
     # operands returns a numpy scalar, which has no flags to set.
+    # ``bound`` derives the output's bound from its inputs' and is called
+    # only with no tape recording; a NaN bound proves nothing.
     if not isinstance(out_data, np.ndarray):
         out_data = np.asarray(out_data, dtype=np.float64)
-    _checked(op, out_data)
+    tape = getattr(_tls, "tape", None)
+    out_bound = bound() if tape is None else math.nan
+    if not out_bound < _PROVEN:
+        _checked(op, out_data)
+        out_bound = None
     out_data.flags.writeable = False
     out = object.__new__(Tensor)
     object.__setattr__(out, "data", out_data)
-    tape = getattr(_tls, "tape", None)
+    object.__setattr__(out, "bound", out_bound)
     if tape is not None:
         tape.records.append((op, out, backward_fn))
     return out
@@ -216,12 +251,14 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
-def _binary(op: str, a: Tensor, b: Tensor | float, fn, da, db) -> Tensor:
+def _binary(op: str, a: Tensor, b: Tensor | float, fn, da, db, bound) -> Tensor:
     """Broadcasting ``fn(a, b)``, ``b`` a tensor or a constant; ``da``/``db``
-    map ``(dout, a, b)`` arrays to each operand's gradient before unbroadcasting."""
+    map ``(dout, a, b)`` arrays to each operand's gradient before unbroadcasting,
+    and ``bound`` maps the operands' bounds to the output's."""
     if not isinstance(b, Tensor):
         k = float(b)
-        return _emit(op, fn(a.data, k), lambda dout: [(a, da(dout, a.data, k))])
+        return _emit(op, fn(a.data, k), lambda dout: [(a, da(dout, a.data, k))],
+                     lambda: bound(_bound(a), abs(k)))
     try:
         out = fn(a.data, b.data)
     except ValueError:
@@ -233,22 +270,23 @@ def _binary(op: str, a: Tensor, b: Tensor | float, fn, da, db) -> Tensor:
             (b, _unbroadcast(db(dout, a.data, b.data), b.shape)),
         ]
 
-    return _emit(op, out, back)
+    return _emit(op, out, back, lambda: bound(_bound(a), _bound(b)))
 
 
 def add(a: Tensor, b: Tensor | float) -> Tensor:
     """Elementwise ``a + b`` with numpy broadcasting; ``b`` may be a constant."""
-    return _binary("add", a, b, np.add, lambda d, x, y: d, lambda d, x, y: d)
+    return _binary("add", a, b, np.add, lambda d, x, y: d, lambda d, x, y: d, operator.add)
 
 
 def sub(a: Tensor, b: Tensor | float) -> Tensor:
     """Elementwise ``a - b``; ``b`` may be a constant."""
-    return _binary("sub", a, b, np.subtract, lambda d, x, y: d, lambda d, x, y: -d)
+    return _binary("sub", a, b, np.subtract, lambda d, x, y: d, lambda d, x, y: -d, operator.add)
 
 
 def mul(a: Tensor, b: Tensor | float) -> Tensor:
     """Elementwise ``a * b``; ``b`` may be a constant."""
-    return _binary("mul", a, b, np.multiply, lambda d, x, y: d * y, lambda d, x, y: d * x)
+    return _binary("mul", a, b, np.multiply, lambda d, x, y: d * y, lambda d, x, y: d * x,
+                   operator.mul)
 
 
 def tanh(x: Tensor) -> Tensor:
@@ -257,7 +295,7 @@ def tanh(x: Tensor) -> Tensor:
     def back(dout):
         return [(x, dout * (1.0 - y * y))]
 
-    return _emit("tanh", y, back)
+    return _emit("tanh", y, back, lambda: _unit(x))
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -271,7 +309,7 @@ def sigmoid(x: Tensor) -> Tensor:
     def back(dout):
         return [(x, dout * y * (1.0 - y))]
 
-    return _emit("sigmoid", y, back)
+    return _emit("sigmoid", y, back, lambda: _unit(x))
 
 
 def relu(x: Tensor) -> Tensor:
@@ -280,12 +318,17 @@ def relu(x: Tensor) -> Tensor:
     def back(dout):
         return [(x, dout * (x.data > 0.0))]
 
-    return _emit("relu", y, back)
+    return _emit("relu", y, back, lambda: _bound(x))
 
 
 def silu(x: Tensor) -> Tensor:
-    """Smooth gated linear unit, ``x * sigmoid(x)``."""
-    return mul(x, sigmoid(x))
+    """Sigmoid-weighted linear unit, ``x * sigmoid(x)``."""
+    s = _sigmoid(x.data)
+
+    def back(dout):
+        return [(x, dout * s + dout * x.data * s * (1.0 - s))]
+
+    return _emit("silu", x.data * s, back, lambda: _bound(x))
 
 
 # --------------------------------------------------------------------------
@@ -314,7 +357,8 @@ def matmul(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
             grads.append((b, dflat.sum(axis=0)))
         return grads
 
-    return _emit("matmul", out, back)
+    return _emit("matmul", out, back,
+                 lambda: n * _bound(x) * _bound(w) + (0.0 if b is None else _bound(b)))
 
 
 def concat(xs: Sequence[Tensor]) -> Tensor:
@@ -330,7 +374,8 @@ def concat(xs: Sequence[Tensor]) -> Tensor:
         # match those it would get had it not been joined.
         return [(x, dout[..., end - x.shape[-1] : end].copy()) for x, end in zip(xs, ends)]
 
-    return _emit("concat", out, back)
+    # Python's max() can drop a NaN; a sum keeps it.
+    return _emit("concat", out, back, lambda: builtins.sum(_bound(x) for x in xs))
 
 
 def gated_tanh(z: Tensor) -> Tensor:
@@ -347,7 +392,7 @@ def gated_tanh(z: Tensor) -> Tensor:
         dz[..., c:] = dout * a * s * (1.0 - s)
         return [(z, dz)]
 
-    return _emit("gated_tanh", a * s, back)
+    return _emit("gated_tanh", a * s, back, lambda: _unit(z))
 
 
 def conv1d_dilated(x: Tensor, w: Tensor, b: Tensor | None = None, dilation: int = 1) -> Tensor:
@@ -413,7 +458,8 @@ def conv1d_dilated(x: Tensor, w: Tensor, b: Tensor | None = None, dilation: int 
             grads.append((b, _unbroadcast(db, b.shape)))
         return grads
 
-    return _emit("conv1d_dilated", out, back)
+    return _emit("conv1d_dilated", out, back,
+                 lambda: kernel * c_in * _bound(x) * _bound(w) + (0.0 if b is None else _bound(b)))
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -421,9 +467,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     c = x.shape[-1]
     if gain.shape != (c,) or bias.shape != (c,):
         raise ShapeError("layer_norm", f"gain/bias must be ({c},), got {gain.shape}/{bias.shape}")
-    mu = x.data.mean(axis=-1, keepdims=True)
+    mu = np.add.reduce(x.data, axis=-1, keepdims=True) / c
     xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / c
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     out = xhat * gain.data + bias.data
@@ -432,14 +478,18 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         dxhat = dout * gain.data
         dx = inv * (
             dxhat
-            - dxhat.mean(axis=-1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+            - np.add.reduce(dxhat, axis=-1, keepdims=True) / c
+            - xhat * (np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / c)
         )
         dg = (dout * xhat).reshape(-1, c).sum(axis=0)
         db = dout.reshape(-1, c).sum(axis=0)
         return [(x, dx), (gain, dg), (bias, db)]
 
-    return _emit("layer_norm", out, back)
+    def bound():  # |xhat| <= sqrt(c) while xc * xc cannot overflow
+        ok = _bound(x) < 1e150 and eps > 0.0
+        return math.sqrt(c) * _bound(gain) + _bound(bias) if ok else math.inf
+
+    return _emit("layer_norm", out, back, bound)
 
 
 def dropout(x: Tensor, rate: float, rng: "Rng", training: bool) -> Tensor:
@@ -454,7 +504,7 @@ def dropout(x: Tensor, rate: float, rng: "Rng", training: bool) -> Tensor:
     def back(dout):
         return [(x, dout * mask)]
 
-    return _emit("dropout", x.data * mask, back)
+    return _emit("dropout", x.data * mask, back, lambda: _bound(x) * (1.0 / keep))
 
 
 def embed_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
@@ -474,7 +524,7 @@ def embed_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
         np.add.at(dt, idx, dout)
         return [(table, dt)]
 
-    return _emit("embed_lookup", out, back)
+    return _emit("embed_lookup", out, back, lambda: _bound(table))
 
 
 # --------------------------------------------------------------------------
@@ -488,7 +538,7 @@ def sum(x: Tensor) -> Tensor:  # noqa: A001 - primitive named after the reductio
     def back(dout):
         return [(x, np.broadcast_to(dout, x.shape).copy())]
 
-    return _emit("sum", out, back)
+    return _emit("sum", out, back, lambda: x.size * _bound(x))
 
 
 def mean(x: Tensor) -> Tensor:
@@ -498,7 +548,8 @@ def mean(x: Tensor) -> Tensor:
     def back(dout):
         return [(x, np.broadcast_to(dout / n, x.shape).copy())]
 
-    return _emit("mean", out, back)
+    # The mean of no elements is NaN.
+    return _emit("mean", out, back, lambda: _bound(x) if n else math.nan)
 
 
 def mse(pred: Tensor, target, op: str) -> Tensor:

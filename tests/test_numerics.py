@@ -185,7 +185,7 @@ class TestBackward:
 
     @pytest.mark.parametrize(
         "name",
-        ["add", "sub", "mul", "tanh", "sigmoid", "relu", "matmul", "conv", "conv_dil",
+        ["add", "sub", "mul", "tanh", "sigmoid", "relu", "silu", "matmul", "conv", "conv_dil",
          "layer_norm", "embed", "dropout", "sum", "mean", "gated_tanh", "concat", "matmul_bias",
          "conv_bias_rows", "conv_bias_broadcast", "conv_bias_per_row"],
     )
@@ -199,6 +199,7 @@ class TestBackward:
             "tanh": ({"a": x}, lambda p: nm.mean(nm.tanh(p["a"]))),
             "sigmoid": ({"a": x}, lambda p: nm.mean(nm.sigmoid(p["a"]))),
             "relu": ({"a": x}, lambda p: nm.mean(nm.relu(p["a"]))),
+            "silu": ({"a": x}, lambda p: nm.mean(nm.mul(nm.silu(p["a"]), y))),
             "matmul": (
                 {"a": x, "w": Tensor(rng.normal((6, 3)))},
                 lambda p: nm.mean(nm.matmul(p["a"], p["w"])),
@@ -390,15 +391,18 @@ class TestTensor:
         assert t.data.tolist() == [1e308] * 3
 
 
-def _primitive_calls(rng):
+def _primitive_calls(rng, leaf=Tensor):
     """``(name, call, ops it records, writeable arrays it is handed)`` for
-    every primitive, including a 0-d ``mul(sum(x), k)``."""
-    x = Tensor(rng.normal((2, 4, 6)))
-    z = Tensor(rng.normal((2, 4, 6)))
-    y = Tensor(rng.normal(6))
-    w, b = Tensor(rng.normal((6, 3))), Tensor(rng.normal(3))
-    cw, cb = Tensor(rng.normal((3, 6, 4))), Tensor(rng.normal(4))
-    table = Tensor(rng.normal((5, 6)))
+    every primitive, including a 0-d ``mul(sum(x), k)``.  ``leaf`` makes the
+    input tensors from their arrays, always in this order: ``x``, ``z``,
+    ``y``, ``w``, ``b``, ``cw``, ``cb``, ``table``, ``g``."""
+    x = leaf(rng.normal((2, 4, 6)))
+    z = leaf(rng.normal((2, 4, 6)))
+    y = leaf(rng.normal(6))
+    w, b = leaf(rng.normal((6, 3))), leaf(rng.normal(3))
+    cw, cb = leaf(rng.normal((3, 6, 4))), leaf(rng.normal(4))
+    table = leaf(rng.normal((5, 6)))
+    g = leaf(rng.normal(6))
     ids = np.array([[0, 4, 2], [1, 1, 3]])
     target = rng.normal((2, 4, 6))
     return [
@@ -409,12 +413,12 @@ def _primitive_calls(rng):
         ("tanh", lambda: nm.tanh(x), ["tanh"], []),
         ("sigmoid", lambda: nm.sigmoid(x), ["sigmoid"], []),
         ("relu", lambda: nm.relu(x), ["relu"], []),
-        ("silu", lambda: nm.silu(x), ["sigmoid", "mul"], []),
+        ("silu", lambda: nm.silu(x), ["silu"], []),
         ("matmul", lambda: nm.matmul(x, w, b), ["matmul"], []),
         ("concat", lambda: nm.concat([x, z]), ["concat"], []),
         ("gated_tanh", lambda: nm.gated_tanh(x), ["gated_tanh"], []),
         ("conv1d_dilated", lambda: nm.conv1d_dilated(x, cw, cb, dilation=2), ["conv1d_dilated"], []),
-        ("layer_norm", lambda: nm.layer_norm(x, y, y), ["layer_norm"], []),
+        ("layer_norm", lambda: nm.layer_norm(x, g, y), ["layer_norm"], []),
         ("dropout", lambda: nm.dropout(x, 0.5, Rng(3), True), ["dropout"], []),
         ("embed_lookup", lambda: nm.embed_lookup(table, ids), ["embed_lookup"], [ids]),
         ("sum", lambda: nm.sum(x), ["sum"], []),
@@ -444,6 +448,106 @@ def test_primitive_outputs_follow_tensor_conventions(name, rng):
         assert not any(np.shares_memory(arr, a) for a in writeable)
     assert all(a.flags.writeable for a in writeable)  # inputs are not adopted
     assert np.array_equal(untaped.data, taped.data)
+
+
+# -- Bounds -------------------------------------------------------------------
+#
+# With no tape, an output whose bound proves it finite is not scanned.  The
+# taped path scans every output, so it is the oracle: both paths must raise
+# at the same primitive or return the same values.
+
+N_LEAVES = 9  # the inputs ``_primitive_calls`` makes
+
+
+def _outcome(call, taped: bool):
+    """The call's output, or the ``op`` of the NonFiniteError it raises."""
+    try:
+        if not taped:
+            return call()
+        with Tape():
+            return call()
+    except NonFiniteError as exc:
+        return exc.op
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.filterwarnings("ignore:invalid")
+@pytest.mark.parametrize("scale", [1.0, 1e149, 1e150, 1e299, 1e300])
+def test_untaped_bound_holds_and_raises_as_taped(scale, rng):
+    for name, call, ops, _ in _primitive_calls(rng, lambda a: Tensor(a * scale)):
+        untaped, taped = _outcome(call, False), _outcome(call, True)
+        if isinstance(taped, str):
+            assert untaped == taped, name
+            continue
+        assert np.array_equal(untaped.data, taped.data), name
+        assert taped.bound is None, name  # no bound is evaluated under a tape
+        assert untaped.bound is None or untaped.bound >= np.abs(untaped.data).max(), name
+
+
+@pytest.mark.parametrize("poisoned", range(N_LEAVES))
+def test_untaped_nan_leaf_raises_at_the_primitive_reading_it(poisoned, rng):
+    # An unchecked leaf (a parameter, say) holding one NaN has a NaN bound,
+    # which proves nothing, so the primitive reading it must scan and raise.
+    made = []
+
+    def leaf(a):
+        made.append(None)
+        if len(made) - 1 != poisoned:
+            return Tensor(a)
+        a.flat[0] = np.nan  # ``embed_lookup`` reads row 0 of the table
+        return Tensor(a, _checked_op=None)
+
+    raised = 0
+    for name, call, ops, _ in _primitive_calls(rng, leaf):
+        untaped, taped = _outcome(call, False), _outcome(call, True)
+        if isinstance(taped, str):
+            assert untaped == taped == ops[0], name
+            raised += 1
+        else:
+            assert np.isfinite(untaped.data).all(), name
+    assert len(made) == N_LEAVES and raised > 0
+
+
+@pytest.mark.filterwarnings("ignore:Mean of empty slice")
+@pytest.mark.filterwarnings("ignore:invalid value")
+def test_mean_of_no_elements_raises_without_a_tape():
+    # An empty input has bound 0, yet its mean is NaN.
+    for taped in (False, True):
+        assert _outcome(lambda: nm.mean(Tensor(np.zeros(0))), taped) == "mean"
+
+
+def test_reverse_step_scans_no_primitive_output_without_a_tape(monkeypatch):
+    # Acceptance size (6 layers): the 31 outputs of one batch-1 reverse step
+    # are all proven finite by their bounds; under a tape each is scanned.
+    from prosody_ddpm.config import Config, DenoiserSection
+    from prosody_ddpm.denoiser import Denoiser
+    from prosody_ddpm.diffusion import linear_schedule, reverse_step
+
+    from conftest import jitter_params
+
+    rng = Rng(2)
+    cfg = Config(denoiser=DenoiserSection(channels=48, layers=6, dilation_cycle=(1, 2, 4),
+                                          cond_dim=48, step_hidden=96))
+    den = Denoiser.init(cfg, rng)
+    jitter_params(den.params, rng)
+    sched = linear_schedule(300, 1e-4, 0.06)
+    constants = den.condition(Tensor(rng.normal((1, 32, 48))))
+    e = Tensor(den.steps(np.arange(1, 301)).data[149], _checked_op=None)
+    x, z = rng.normal((1, 32, 3)), rng.normal((1, 32, 3))
+    scanned = []
+    checked = nm._checked
+
+    def counting(op, arr, where="forward"):
+        scanned.append(op)
+        checked(op, arr, where)
+
+    monkeypatch.setattr(nm, "_checked", counting)
+    untaped = reverse_step(den, x, constants, e, 150, z, sched)
+    assert scanned == []
+    with Tape() as tape:
+        taped = reverse_step(den, x, constants, e, 150, z, sched)
+    assert len(scanned) == len(tape.records) == 31
+    assert np.array_equal(untaped, taped)
 
 
 # -- MSE reference ----------------------------------------------------------
