@@ -28,7 +28,7 @@ import numpy as np
 
 from .config import Config, canonical_text, parse_config
 from .data import NormStats, replace_file
-from .numerics import Tensor
+from .numerics import NonFiniteError, Tensor
 
 MAGIC = b"PPCK"
 VERSION = 5
@@ -162,7 +162,11 @@ def load_checkpoint(path) -> Checkpoint:
     params: dict[str, Tensor] = {}
     for _ in range(n_params):
         name = r.s("<H")
-        params[name] = Tensor(finite("parameter", name), _checked_op=None)
+        # The checked leaf's one scan rejects NaN/Inf and records its bound.
+        try:
+            params[name] = Tensor(_read_array(r))
+        except NonFiniteError:
+            raise CheckpointError(f"{path}: non-finite values in parameter {name!r}") from None
     opt_t = 0
     opt_m: dict[str, np.ndarray] = {}
     opt_v: dict[str, np.ndarray] = {}

@@ -299,8 +299,13 @@ def tanh(x: Tensor) -> Tensor:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # tanh form is overflow-free for any float64 input.
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
+    # tanh form, 0.5 * (1 + tanh(0.5 * x)), is overflow-free for any
+    # float64 input.
+    y = np.multiply(x, 0.5)
+    np.tanh(y, out=y)
+    y += 1.0
+    y *= 0.5
+    return y
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -326,7 +331,13 @@ def silu(x: Tensor) -> Tensor:
     s = _sigmoid(x.data)
 
     def back(dout):
-        return [(x, dout * s + dout * x.data * s * (1.0 - s))]
+        # dout * s + dout * x * s * (1 - s)
+        dx = np.multiply(dout, x.data)
+        dx *= s
+        t = np.subtract(1.0, s)
+        dx *= t
+        dx += np.multiply(dout, s, out=t)
+        return [(x, dx)]
 
     return _emit("silu", x.data * s, back, lambda: _bound(x))
 
@@ -387,9 +398,19 @@ def gated_tanh(z: Tensor) -> Tensor:
     s = _sigmoid(z.data[..., c:])
 
     def back(dout):
+        # dz = [dout * s * (1 - a * a), dout * a * s * (1 - s)]
+        # Each half is built in a contiguous buffer, then copied in: numpy
+        # loops over a strided half row by row.
         dz = np.empty_like(z.data)
-        dz[..., :c] = dout * s * (1.0 - a * a)
-        dz[..., c:] = dout * a * s * (1.0 - s)
+        t = np.multiply(a, a)
+        np.subtract(1.0, t, out=t)
+        half = np.multiply(dout, s)
+        half *= t
+        dz[..., :c] = half
+        np.multiply(dout, a, out=half)
+        half *= s
+        half *= np.subtract(1.0, s, out=t)
+        dz[..., c:] = half
         return [(z, dz)]
 
     return _emit("gated_tanh", a * s, back, lambda: _unit(z))
@@ -467,21 +488,28 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     c = x.shape[-1]
     if gain.shape != (c,) or bias.shape != (c,):
         raise ShapeError("layer_norm", f"gain/bias must be ({c},), got {gain.shape}/{bias.shape}")
+    # xc = x - mean(x); inv = 1 / sqrt(mean(xc * xc) + eps); xhat = xc * inv
     mu = np.add.reduce(x.data, axis=-1, keepdims=True) / c
-    xc = x.data - mu
-    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / c
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = xhat * gain.data + bias.data
+    xhat = np.subtract(x.data, mu)
+    out = np.multiply(xhat, xhat)
+    inv = np.add.reduce(out, axis=-1, keepdims=True) / c
+    inv += eps
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    xhat *= inv
+    np.multiply(xhat, gain.data, out=out)
+    out += bias.data
 
     def back(dout):
-        dxhat = dout * gain.data
-        dx = inv * (
-            dxhat
-            - np.add.reduce(dxhat, axis=-1, keepdims=True) / c
-            - xhat * (np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / c)
-        )
-        dg = (dout * xhat).reshape(-1, c).sum(axis=0)
+        # dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)),
+        # dxhat = dout * gain
+        dx = np.multiply(dout, gain.data)
+        t = np.multiply(dx, xhat)
+        m2 = np.add.reduce(t, axis=-1, keepdims=True) / c
+        dx -= np.add.reduce(dx, axis=-1, keepdims=True) / c
+        dx -= np.multiply(xhat, m2, out=t)
+        dx *= inv
+        dg = np.multiply(dout, xhat, out=t).reshape(-1, c).sum(axis=0)
         db = dout.reshape(-1, c).sum(axis=0)
         return [(x, dx), (gain, dg), (bias, db)]
 

@@ -40,12 +40,21 @@ class Adam:
                 self.v[name] = v
             else:
                 v = self.v[name]
+            # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2;
+            # p - (lr / bc1) m / (sqrt(v / bc2) + eps)
+            t = np.multiply(g, 1.0 - BETA1)
             m *= BETA1
-            m += (1.0 - BETA1) * g
+            m += t
+            np.multiply(g, g, out=t)
+            t *= 1.0 - BETA2
             v *= BETA2
-            v += (1.0 - BETA2) * (g * g)
-            update = (lr / bc1) * m / (np.sqrt(v / bc2) + EPS)
-            out[name] = Tensor(p.data - update, _checked_op=None)
+            v += t
+            np.divide(v, bc2, out=t)
+            np.sqrt(t, out=t)
+            t += EPS
+            new = np.multiply(m, lr / bc1)
+            new /= t
+            out[name] = Tensor(np.subtract(p.data, new, out=new), _checked_op=None)
         return out
 
     def load_state(self, t: int, rows: list[tuple[str, np.ndarray, np.ndarray]]) -> None:

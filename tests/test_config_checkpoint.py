@@ -311,6 +311,14 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="non-finite values in second moment of 'scalar'"):
             load_checkpoint(path)
 
+    def test_loaded_parameters_carry_their_bound(self, tmp_path):
+        # The load's one scan per parameter records its bound, so no later
+        # untaped use scans it again.
+        path = tmp_path / "bound.bin"
+        save_checkpoint(_dummy_checkpoint(), path)
+        for name, p in load_checkpoint(path).params.items():
+            assert p.bound == np.abs(p.data).max(), name
+
     @pytest.mark.parametrize(
         "mean, std",
         [

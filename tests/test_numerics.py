@@ -628,3 +628,101 @@ def test_masked_mse_matches_per_loss_references(rng):
 
     with pytest.raises(ShapeError, match="baseline_loss: prediction"):
         baseline_loss_graph(net, cond, target[..., :2], Rng(5), True)
+
+
+# -- Buffer references ----------------------------------------------------
+#
+# The elementwise primitives write their intermediates into buffers they
+# own.  These are the expressions they replaced; each rewrite keeps every
+# operation and its order, so values and gradients must match bit for bit.
+
+
+def _ref_sigmoid(x):
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
+
+
+def _ref_sigmoid_prim(x, dout):
+    y = _ref_sigmoid(x)
+    return y, [dout * y * (1.0 - y)]
+
+
+def _ref_silu(x, dout):
+    s = _ref_sigmoid(x)
+    return x * s, [dout * s + dout * x * s * (1.0 - s)]
+
+
+def _ref_gated_tanh(z, dout):
+    c = z.shape[-1] // 2
+    a, s = np.tanh(z[..., :c]), _ref_sigmoid(z[..., c:])
+    dz = np.empty_like(z)
+    dz[..., :c] = dout * s * (1.0 - a * a)
+    dz[..., c:] = dout * a * s * (1.0 - s)
+    return a * s, [dz]
+
+
+def _ref_layer_norm(x, gain, bias, dout, eps=1e-5):
+    c = x.shape[-1]
+    mu = np.add.reduce(x, axis=-1, keepdims=True) / c
+    xc = x - mu
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / c
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
+    dxhat = dout * gain
+    dx = inv * (
+        dxhat
+        - np.add.reduce(dxhat, axis=-1, keepdims=True) / c
+        - xhat * (np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / c)
+    )
+    dg = (dout * xhat).reshape(-1, c).sum(axis=0)
+    db = dout.reshape(-1, c).sum(axis=0)
+    return xhat * gain + bias, [dx, dg, db]
+
+
+def _taped(call):
+    """``call()``'s output and its record's backward closure."""
+    with Tape() as tape:
+        out = call()
+    return out, tape.records[-1][2]
+
+
+@pytest.mark.parametrize("shape", [(16, 11, 256), (1, 11, 256), (7, 6)])
+def test_buffered_primitives_match_their_expressions(shape, rng):
+    x = rng.normal(shape) * 2.0
+    g, b = rng.normal(shape[-1]) + 1.0, rng.normal(shape[-1])
+    dout = rng.normal(shape)
+    half = shape[:-1] + (shape[-1] // 2,)
+    cases = [
+        ("sigmoid", lambda: nm.sigmoid(Tensor(x)), lambda: _ref_sigmoid_prim(x, dout), dout),
+        ("silu", lambda: nm.silu(Tensor(x)), lambda: _ref_silu(x, dout), dout),
+        ("gated_tanh", lambda: nm.gated_tanh(Tensor(x)),
+         lambda: _ref_gated_tanh(x, dout[..., : half[-1]]), dout[..., : half[-1]].copy()),
+        ("layer_norm", lambda: nm.layer_norm(Tensor(x), Tensor(g), Tensor(b)),
+         lambda: _ref_layer_norm(x, g, b, dout), dout),
+    ]
+    for name, call, reference, d in cases:
+        out, back = _taped(call)
+        want_out, want_grads = reference()
+        assert np.array_equal(out.data, want_out), name
+        grads = [grad for _, grad in back(d)]
+        assert len(grads) == len(want_grads), name
+        for got, want in zip(grads, want_grads):
+            assert np.array_equal(got, want), name
+
+
+@pytest.mark.parametrize("name", [case[0] for case in _primitive_calls(Rng(0))])
+def test_backward_closures_write_no_captured_or_caller_array(name, rng):
+    # Playing every record back twice gives the same gradients, and leaves
+    # each incoming gradient, input and output as it was.
+    call = next(case[1] for case in _primitive_calls(rng) if case[0] == name)
+    with Tape() as tape:
+        call()
+    for op, out, back in tape.records:
+        dout = rng.normal(out.shape)
+        kept = dout.copy()
+        first = [(inp, grad.copy()) for inp, grad in back(dout)]
+        inputs = [inp.data.copy() for inp, _ in first]
+        again = back(dout)
+        assert np.array_equal(dout, kept), op
+        for (inp, grad), (inp2, grad2), before in zip(first, again, inputs):
+            assert inp2 is inp and np.array_equal(grad2, grad), op
+            assert np.array_equal(inp.data, before), op

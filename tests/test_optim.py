@@ -4,7 +4,7 @@ import numpy as np
 
 from prosody_ddpm.config import OptimizerSection
 from prosody_ddpm.numerics import Gradients, Rng, Tensor
-from prosody_ddpm.optim import Adam
+from prosody_ddpm.optim import BETA1, BETA2, EPS, Adam
 
 
 def _grads(params: dict[str, Tensor], values: dict[str, np.ndarray]) -> Gradients:
@@ -37,3 +37,38 @@ def test_two_steps_match_the_published_rule():
             np.testing.assert_allclose(opt.v[k], v[k], rtol=1e-12, atol=0)
         params = new
     assert opt.t == 2
+
+
+def _reference_step(opt, params, grads, lr):
+    """The update as first written, one whole-array temporary per operation."""
+    opt.t += 1
+    bc1, bc2 = 1.0 - BETA1**opt.t, 1.0 - BETA2**opt.t
+    out = {}
+    for name, p in params.items():
+        g = grads[name]
+        m = opt.m.setdefault(name, np.zeros_like(p.data))
+        v = opt.v.setdefault(name, np.zeros_like(p.data))
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * (g * g)
+        update = (lr / bc1) * m / (np.sqrt(v / bc2) + EPS)
+        out[name] = Tensor(p.data - update)
+    return out
+
+
+def test_step_matches_its_expressions_bit_for_bit():
+    # The step writes its intermediates into buffers it owns, keeping every
+    # operation and its order; parameters and moments match the expressions.
+    rng = Rng(9)
+    lr = 3e-3
+    params = {"w": Tensor(rng.normal((256, 256))), "b": Tensor(rng.normal(7))}
+    opt, ref = Adam(OptimizerSection(lr=lr)), Adam(OptimizerSection(lr=lr))
+    mine = want = params
+    for _ in range(4):
+        g = {k: rng.normal(p.shape) * 10.0 ** rng.integers(-9, 2) for k, p in params.items()}
+        mine = opt.step(mine, _grads(mine, g))
+        want = _reference_step(ref, want, g, lr)
+        for k in params:
+            assert np.array_equal(mine[k].data, want[k].data), k
+            assert np.array_equal(opt.m[k], ref.m[k]) and np.array_equal(opt.v[k], ref.v[k]), k
