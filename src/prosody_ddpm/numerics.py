@@ -362,8 +362,10 @@ def matmul(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         out += b.data
 
     def back(dout):
+        # One 2-d GEMM over all rows: numpy runs a stacked product as one
+        # small GEMM per sequence.
         dflat = dout.reshape(-1, m)
-        grads = [(x, dout @ w.data.T), (w, x.data.reshape(-1, n).T @ dflat)]
+        grads = [(x, (dflat @ w.data.T).reshape(x.shape)), (w, x.data.reshape(-1, n).T @ dflat)]
         if b is not None:
             grads.append((b, dflat.sum(axis=0)))
         return grads
@@ -445,15 +447,16 @@ def conv1d_dilated(x: Tensor, w: Tensor, b: Tensor | None = None, dilation: int 
     centre = kernel // 2
     xd, wd = x.data, w.data
     # (tap, input slice, output slice) for every off-centre tap that reaches
-    # a real position: output position p reads input position p + offset.
+    # a real position, those within ``reach`` of the centre: output
+    # position p reads input position p + offset.
+    reach = min(centre, (length - 1) // dilation)
     taps = []
-    for k in range(kernel):
+    for k in range(centre - reach, centre + reach + 1):
         off = (k - centre) * dilation
-        if k != centre and abs(off) < length:
-            if off > 0:
-                taps.append((k, slice(off, None), slice(None, length - off)))
-            else:
-                taps.append((k, slice(None, length + off), slice(-off, None)))
+        if off > 0:
+            taps.append((k, slice(off, None), slice(None, length - off)))
+        elif off < 0:
+            taps.append((k, slice(None, length + off), slice(-off, None)))
     out = xd @ wd[centre]
     if b is not None:
         try:
@@ -464,13 +467,18 @@ def conv1d_dilated(x: Tensor, w: Tensor, b: Tensor | None = None, dilation: int 
         out[..., dst, :] += xd[..., src, :] @ wd[k]
 
     def back(dout):
-        dx = dout @ wd[centre].T
-        dw = np.zeros_like(wd)
-        dw[centre] = xd.reshape(-1, c_in).T @ dout.reshape(-1, c_out)
+        # Products are 2-d GEMMs over all rows, as in matmul's backward.
+        dflat = dout.reshape(-1, c_out)
+        dx = (dflat @ wd[centre].T).reshape(xd.shape)
+        dw = np.empty_like(wd)  # every tap is written below or zeroed here
+        dw[: centre - reach] = 0.0
+        dw[centre + reach + 1 :] = 0.0
+        dw[centre] = xd.reshape(-1, c_in).T @ dflat
         for k, src, dst in taps:
-            xs, ds = xd[..., src, :], dout[..., dst, :]
-            dw[k] = xs.reshape(-1, c_in).T @ ds.reshape(-1, c_out)
-            dx[..., src, :] += ds @ wd[k].T
+            ds = dout[..., dst, :]
+            dsflat = np.ascontiguousarray(ds).reshape(-1, c_out)
+            dw[k] = xd[..., src, :].reshape(-1, c_in).T @ dsflat
+            dx[..., src, :] += (dsflat @ wd[k].T).reshape(ds.shape[:-1] + (c_in,))
         grads = [(x, dx), (w, dw)]
         if b is not None:
             # Sum the leading axes the bias lacks as one, in matmul's order.

@@ -711,8 +711,9 @@ def test_buffered_primitives_match_their_expressions(shape, rng):
 
 @pytest.mark.parametrize("name", [case[0] for case in _primitive_calls(Rng(0))])
 def test_backward_closures_write_no_captured_or_caller_array(name, rng):
-    # Playing every record back twice gives the same gradients, and leaves
-    # each incoming gradient, input and output as it was.
+    # Playing every record back twice gives the same gradients, so no
+    # captured forward value changed, and leaves each incoming gradient and
+    # input as it was.
     call = next(case[1] for case in _primitive_calls(rng) if case[0] == name)
     with Tape() as tape:
         call()
@@ -726,3 +727,81 @@ def test_backward_closures_write_no_captured_or_caller_array(name, rng):
         for (inp, grad), (inp2, grad2), before in zip(first, again, inputs):
             assert inp2 is inp and np.array_equal(grad2, grad), op
             assert np.array_equal(inp.data, before), op
+
+
+# -- Backward GEMM layout -------------------------------------------------
+#
+# ``matmul`` and ``conv1d_dilated`` run each backward product as one 2-d
+# GEMM over all batch x length rows.  The references are the stacked
+# expressions they replaced, one GEMM per sequence: a batch of one runs
+# the same GEMMs, so it matches bit for bit; larger batches differ by
+# float64 rounding only (inner dimensions here stay far below 768).
+
+
+def _ref_matmul_back(x, w, b, dout):
+    n, m = w.shape
+    dflat = dout.reshape(-1, m)
+    grads = [dout @ w.T, x.reshape(-1, n).T @ dflat]
+    return grads + ([dflat.sum(axis=0)] if b is not None else [])
+
+
+def _ref_conv_back(x, w, b, dilation, dout):
+    kernel, c_in, c_out = w.shape
+    length, centre = x.shape[-2], kernel // 2
+    dx = dout @ w[centre].T
+    dw = np.zeros_like(w)
+    dw[centre] = x.reshape(-1, c_in).T @ dout.reshape(-1, c_out)
+    for k in range(kernel):
+        off = (k - centre) * dilation
+        if k == centre or abs(off) >= length:
+            continue
+        src = slice(off, None) if off > 0 else slice(None, length + off)
+        dst = slice(None, length - off) if off > 0 else slice(-off, None)
+        xs, ds = x[..., src, :], dout[..., dst, :]
+        dw[k] = xs.reshape(-1, c_in).T @ ds.reshape(-1, c_out)
+        dx[..., src, :] += ds @ w[k].T
+    if b is None:
+        return [dx, dw]
+    lead = dout.ndim - b.ndim
+    db = dout.reshape((-1,) + dout.shape[lead:]).sum(axis=0) if lead else dout
+    return [dx, dw, nm._unbroadcast(db, b.shape)]
+
+
+def _assert_backward_matches(grads, want, exact, what):
+    assert len(grads) == len(want), what
+    for got, ref in zip(grads, want):
+        if exact:
+            assert np.array_equal(got, ref), what
+        else:
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12, err_msg=str(what))
+
+
+@pytest.mark.parametrize("lead", [(), (1,), (2,), (16,)])
+def test_matmul_backward_matches_stacked_products(lead, rng):
+    x, dout = rng.normal(lead + (11, 256)), rng.normal(lead + (11, 96))
+    w, b = rng.normal((256, 96)), rng.normal(96)
+    for bias in (None, b):
+        call = lambda: nm.matmul(Tensor(x), Tensor(w), None if bias is None else Tensor(bias))
+        _, back = _taped(call)
+        grads = [grad for _, grad in back(dout)]
+        _assert_backward_matches(grads, _ref_matmul_back(x, w, bias, dout),
+                                 lead in [(), (1,)], (lead, bias is None))
+
+
+@pytest.mark.parametrize("lead", [(), (1,), (2,), (16,)])
+def test_conv_backward_matches_stacked_products(lead, rng):
+    # Dilation 4 at kernel 5 on 6 positions skips the outer taps; c_in != c_out.
+    c_in, c_out = 24, 40
+    for kernel, dilation, length in [(3, 1, 11), (3, 2, 11), (5, 4, 6), (3, 4, 4), (5, 2, 4)]:
+        x = rng.normal(lead + (length, c_in))
+        w = rng.normal((kernel, c_in, c_out))
+        dout = rng.normal(lead + (length, c_out))
+        biases = [None, (c_out,), (length, c_out)] + ([lead + (1, c_out)] if lead else [])
+        for bias_shape in biases:
+            b = None if bias_shape is None else rng.normal(bias_shape)
+            call = lambda: nm.conv1d_dilated(Tensor(x), Tensor(w),
+                                             None if b is None else Tensor(b), dilation)
+            _, back = _taped(call)
+            grads = [grad for _, grad in back(dout)]
+            _assert_backward_matches(grads, _ref_conv_back(x, w, b, dilation, dout),
+                                     lead in [(), (1,)], (kernel, dilation, length, bias_shape))
