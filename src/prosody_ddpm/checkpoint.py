@@ -31,7 +31,7 @@ from .data import NormStats, replace_file
 from .numerics import NonFiniteError, Tensor
 
 MAGIC = b"PPCK"
-VERSION = 5
+VERSION = 6
 KINDS = ("ddpm", "baseline")
 
 
@@ -131,8 +131,9 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
     version = r.u("<I")
     if version < VERSION:
+        layout = ", which stores the baseline as one stacked network" if version == 5 else ""
         raise CheckpointError(
-            f"{path}: checkpoint format v{version} is older than v{VERSION}; retrain"
+            f"{path}: checkpoint format v{version} is older than v{VERSION}{layout}; retrain"
         )
     if version != VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")

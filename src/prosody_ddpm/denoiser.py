@@ -76,7 +76,7 @@ class ConditionEncoder:
                 f" for vocabulary of size {vocab}"
             )
         h = nm.embed_lookup(p["cond.embed"], ids)
-        h = nm.silu(nm.conv1d_dilated(h, p["cond.conv1.w"], p["cond.conv1.b"]))
+        h = nm.conv1d_dilated(h, p["cond.conv1.w"], p["cond.conv1.b"], act="silu")
         return nm.conv1d_dilated(h, p["cond.conv2.w"], p["cond.conv2.b"])
 
 
@@ -84,9 +84,10 @@ class Denoiser:
     """Noise predictor ``(x_t, c, t) -> eps_hat`` with ``x_t``-shaped output.
 
     Each residual layer is DiffWave-shaped: one dilated conv with ``2C``
-    outputs (filter and gate) biased by a ``2C``-wide condition projection,
-    a single gate primitive, and a residual 1x1.  The per-layer skip 1x1s
-    act as one projection of the concatenated gate outputs.  Everything
+    outputs (filter and gate) biased by a ``2C``-wide condition projection
+    and gated in the same call, and a residual 1x1 that adds itself to the
+    stream.  The per-layer skip 1x1s act as one projection of the
+    concatenated gate outputs.  Everything
     that depends only on the condition or the step is computed by
     :meth:`condition` and :meth:`steps`, once per chain (once per step in
     training), and passed to :meth:`forward`.  Layer ``i`` dilates by
@@ -155,8 +156,8 @@ class Denoiser:
         emb = step_embedding(t, self.config.denoiser.channels)
         if np.ndim(t) == 0:
             emb = emb[0]
-        e = nm.matmul(Tensor(emb), p["step.fc1.w"], p["step.fc1.b"])
-        return nm.matmul(nm.silu(e), p["step.fc2.w"], p["step.fc2.b"])
+        e = nm.matmul(Tensor(emb), p["step.fc1.w"], p["step.fc1.b"], act="silu")
+        return nm.matmul(e, p["step.fc2.w"], p["step.fc2.b"])
 
     def forward(self, x_t: Tensor, cond: list[Tensor], e: Tensor) -> Tensor:
         """Noise estimate for ``x_t`` of shape ``(..., length, features)``.
@@ -172,18 +173,17 @@ class Denoiser:
             raise nm.ShapeError(
                 "denoiser", f"condition {cond[0].shape} does not match input {x_t.shape}"
             )
-        h = nm.add(nm.relu(nm.matmul(x_t, p["in.w"], p["in.b"])), e)
+        h = nm.matmul(x_t, p["in.w"], p["in.b"], act="relu", res=e)
         gated = []
         cycle = c.dilation_cycle
         for i in range(c.layers):
             pre = f"layer{i}"
             dil = cycle[i % len(cycle)]
-            z = nm.conv1d_dilated(h, p[f"{pre}.conv.w"], cond[i], dil)
-            gated.append(nm.gated_tanh(z))
+            gated.append(nm.conv1d_dilated(h, p[f"{pre}.conv.w"], cond[i], dil, act="gate"))
             if i < c.layers - 1:
-                h = nm.add(h, nm.matmul(gated[-1], p[f"{pre}.res.w"], p[f"{pre}.res.b"]))
-        skip = nm.relu(nm.matmul(nm.concat(gated), p["skip.w"], p["skip.b"]))
-        out = nm.relu(nm.matmul(skip, p["post.w"], p["post.b"]))
+                h = nm.matmul(gated[-1], p[f"{pre}.res.w"], p[f"{pre}.res.b"], res=h)
+        skip = nm.matmul(nm.concat(gated), p["skip.w"], p["skip.b"], act="relu")
+        out = nm.matmul(skip, p["post.w"], p["post.b"], act="relu")
         return nm.matmul(out, p["out.w"], p["out.b"])
 
 

@@ -160,10 +160,10 @@ def sample_model_space(model, cond: Tensor, sched: NoiseSchedule, rng: Rng) -> n
     """
     shape = cond.shape[:-1] + (len(DIM_NAMES),)
     constants = model.condition(cond)
-    step_features = model.steps(np.arange(1, sched.steps + 1)).data
+    # Each row carries the bound of the whole array, so no step scans it.
+    step_features = nm.rows(model.steps(np.arange(1, sched.steps + 1)))
     x = rng.normal(shape)
     for t in range(sched.steps, 0, -1):
         z = rng.normal(shape) if t > 1 else None
-        e = Tensor(step_features[t - 1], _checked_op=None)
-        x = reverse_step(model, x, constants, e, t, z, sched)
+        x = reverse_step(model, x, constants, step_features[t - 1], t, z, sched)
     return x

@@ -3,11 +3,14 @@
 Everything the networks in this package need runs through the small
 primitive set defined here: elementwise arithmetic, matmul with an
 optional bias, concatenation, a non-causal dilated 1-d convolution
-whose bias may vary by position, the usual activations and the WaveNet
-gate, layer normalization, dropout, embedding lookup, full reductions,
-and the mean-squared error built from them.  Each primitive computes
-its forward value with numpy and, when a :class:`Tape` is active on the
-current thread, records enough state to play the step backwards.
+whose bias may vary by position, activations, layer normalization,
+dropout, embedding lookup, full reductions, and the mean-squared error
+built from them.  Matmul and convolution take an optional head axis on
+the weight (block-diagonal heads) and an epilogue: ReLU, SiLU or the
+WaveNet gate after the bias, and for matmul a residual addend.  Each
+primitive computes its forward value with numpy and, when a
+:class:`Tape` is active on the current thread, records enough state to
+play the step backwards.
 
 Conventions:
 
@@ -28,6 +31,7 @@ scan.  Either way the error names its primitive.
 from __future__ import annotations
 
 import builtins
+import functools
 import math
 import operator
 import threading
@@ -161,18 +165,22 @@ def _unit(t: Tensor) -> float:
 
 
 def _emit(
-    op: str, out_data: np.ndarray, backward_fn: _BackwardFn, bound: Callable[[], float]
+    op: str, out_data: np.ndarray, backward_fn: _BackwardFn, bound: Callable[[], float],
+    act: str | None = None, res: Tensor | None = None,
 ) -> Tensor:
     # ``out_data`` is an array the primitive has just computed: float64,
     # C-contiguous and owning its buffer, so the asarray/copy checks in
     # Tensor.__init__ would only add cost to every call.  A ufunc on 0-d
     # operands returns a numpy scalar, which has no flags to set.
     # ``bound`` derives the output's bound from its inputs' and is called
-    # only with no tape recording; a NaN bound proves nothing.
+    # only with no tape recording; a NaN bound proves nothing.  ``act`` and
+    # ``res`` are an epilogue (see :func:`_epilogue`).
     if not isinstance(out_data, np.ndarray):
         out_data = np.asarray(out_data, dtype=np.float64)
     tape = getattr(_tls, "tape", None)
     out_bound = bound() if tape is None else math.nan
+    if act is not None or res is not None:
+        out_data, backward_fn, out_bound = _epilogue(op, out_data, backward_fn, out_bound, act, res)
     if not out_bound < _PROVEN:
         _checked(op, out_data)
         out_bound = None
@@ -182,6 +190,20 @@ def _emit(
     object.__setattr__(out, "bound", out_bound)
     if tape is not None:
         tape.records.append((op, out, backward_fn))
+    return out
+
+
+def rows(t: Tensor) -> list[Tensor]:
+    """``t[0], t[1], ...`` as tensors that share ``t``'s read-only buffer and
+    carry its bound, which bounds every row.  Nothing is recorded, so no
+    gradient reaches ``t`` through them."""
+    bound = _bound(t)
+    out = []
+    for row in t.data:
+        r = object.__new__(Tensor)
+        object.__setattr__(r, "data", row)
+        object.__setattr__(r, "bound", bound)
+        out.append(r)
     return out
 
 
@@ -326,20 +348,96 @@ def relu(x: Tensor) -> Tensor:
     return _emit("relu", y, back, lambda: _bound(x))
 
 
-def silu(x: Tensor) -> Tensor:
-    """Sigmoid-weighted linear unit, ``x * sigmoid(x)``."""
-    s = _sigmoid(x.data)
+# --------------------------------------------------------------------------
+# Epilogues
+# --------------------------------------------------------------------------
+#
+# ``matmul`` and ``conv1d_dilated`` apply an activation to their biased
+# output, and ``matmul`` then a residual addend, in the same call, recorded
+# as one record under the primitive's own name.  Each activation maps the
+# fresh pre-activation ``z`` (which it may overwrite) and its bound to
+# ``(y, back, y_bound)``; ``back`` maps the gradient at ``y`` to that at
+# ``z``.  Every value and gradient is the one the separate operations give.
+
+
+def _relu(z: np.ndarray, bound: float):
+    y = np.maximum(z, 0.0, out=z)  # y > 0 exactly where z > 0
+    return y, lambda dout: dout * (y > 0.0), bound
+
+
+def _silu(z: np.ndarray, bound: float):
+    """``z * sigmoid(z)``, which is no larger than ``z`` in magnitude."""
+    s = _sigmoid(z)
 
     def back(dout):
-        # dout * s + dout * x * s * (1 - s)
-        dx = np.multiply(dout, x.data)
-        dx *= s
+        # dout * s + dout * z * s * (1 - s)
+        dz = np.multiply(dout, z)
+        dz *= s
         t = np.subtract(1.0, s)
-        dx *= t
-        dx += np.multiply(dout, s, out=t)
-        return [(x, dx)]
+        dz *= t
+        dz += np.multiply(dout, s, out=t)
+        return dz
 
-    return _emit("silu", x.data * s, back, lambda: _bound(x))
+    return z * s, back, bound
+
+
+def _gate(z: np.ndarray, bound: float):
+    """WaveNet gate ``tanh(z[..., :C]) * sigmoid(z[..., C:])`` for ``2C`` channels."""
+    c = z.shape[-1] // 2
+    a = np.tanh(z[..., :c])
+    s = _sigmoid(z[..., c:])
+
+    def back(dout):
+        # dz = [dout * s * (1 - a * a), dout * a * s * (1 - s)]
+        # Each half is built in a contiguous buffer, then copied in: numpy
+        # loops over a strided half row by row.
+        dz = np.empty_like(z)
+        t = np.multiply(a, a)
+        np.subtract(1.0, t, out=t)
+        half = np.multiply(dout, s)
+        half *= t
+        dz[..., :c] = half
+        np.multiply(dout, a, out=half)
+        half *= s
+        half *= np.subtract(1.0, s, out=t)
+        dz[..., c:] = half
+        return dz
+
+    return a * s, back, 1.0 if bound < math.inf else math.nan
+
+
+_ACTIVATIONS = {"relu": _relu, "silu": _silu, "gate": _gate}
+
+
+def _epilogue(op: str, z: np.ndarray, backward_fn: _BackwardFn, bound: float, act, res):
+    """``act(z) + res`` for ``z``, the output ``op`` has just computed with
+    derived bound ``bound``; returns the new output, backward and bound."""
+    back_act = None
+    if act is not None:
+        fn = _ACTIVATIONS.get(act)
+        if fn is None or (fn is _gate and z.shape[-1] % 2):
+            raise ShapeError(op, f"no activation {act!r} for output shape {z.shape}")
+        # An activation can hide a NaN/Inf (relu(-inf) == 0, tanh(inf) == 1),
+        # so z is checked where it is made.
+        if not bound < _PROVEN:
+            _checked(op, z)
+        z, back_act, bound = fn(z, bound)
+    if res is not None:
+        try:
+            out = np.add(z, res.data)
+        except ValueError:
+            out = None
+        if out is None or out.shape != z.shape:
+            raise ShapeError(op, f"residual {res.shape} does not fit output {z.shape}")
+        if bound < _PROVEN:
+            bound += _bound(res)
+        z = out
+
+    def back(dout):
+        grads = backward_fn(dout if back_act is None else back_act(dout))
+        return grads if res is None else [(res, _unbroadcast(dout, res.shape)), *grads]
+
+    return z, back, bound
 
 
 # --------------------------------------------------------------------------
@@ -347,38 +445,80 @@ def silu(x: Tensor) -> Tensor:
 # --------------------------------------------------------------------------
 
 
-def matmul(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """``x @ w (+ b)`` for ``x`` of shape ``(..., n)``, 2-d ``w`` of shape
-    ``(n, m)`` and an optional bias ``b`` of shape ``(m,)``."""
-    if w.data.ndim != 2:
-        raise ShapeError("matmul", f"weight must be 2-d, got shape {w.shape}")
-    if x.data.ndim < 1 or x.shape[-1] != w.shape[0]:
+def _split(a: np.ndarray, heads: int) -> np.ndarray:
+    """``(..., heads * c)`` viewed as ``(heads, ..., c)``; ``a`` itself for
+    no head axis (``heads`` 0)."""
+    if not heads:
+        return a
+    nd = a.ndim
+    return a.reshape(a.shape[:-1] + (heads, -1)).transpose((nd - 1, *range(nd - 1), nd))
+
+
+def _flat(a: np.ndarray, heads: int) -> np.ndarray:
+    """The rows of ``a``, ``(rows, c)``, or per head ``(heads, rows, c)`` (a view)."""
+    return _split(a.reshape(-1, a.shape[-1]), heads)
+
+
+def matmul(
+    x: Tensor, w: Tensor, b: Tensor | None = None, *, act: str | None = None,
+    res: Tensor | None = None,
+) -> Tensor:
+    """``act(x @ w + b) + res`` for ``x`` of shape ``(..., n)``, 2-d ``w`` of
+    shape ``(n, m)`` and an optional bias ``b`` of shape ``(m,)``.
+
+    ``act`` is ``"relu"``, ``"silu"`` or ``"gate"`` (the WaveNet gate, which
+    halves the last axis); ``res`` broadcasts to the output.  A weight with
+    a head axis, ``(heads, n, m)``, is block-diagonal: head ``i`` maps its
+    slice of a ``(..., rows, heads * n)`` input to its slice of a
+    ``(..., rows, heads * m)`` output, and ``b`` has ``heads * m`` entries.
+    """
+    xd, wd = x.data, w.data
+    if wd.ndim not in (2, 3):
+        raise ShapeError("matmul", f"weight must be (n, m) or (heads, n, m), got shape {w.shape}")
+    heads = wd.shape[0] if wd.ndim == 3 else 0
+    n, m = wd.shape[-2:]
+    if xd.ndim < 1 + (heads > 0) or xd.shape[-1] != (heads or 1) * n:
         raise ShapeError("matmul", f"inner dims differ: {x.shape} @ {w.shape}")
-    n, m = w.shape
-    if b is not None and b.shape != (m,):
-        raise ShapeError("matmul", f"bias {b.shape} does not match out dim {m}")
-    out = x.data @ w.data
+    if b is not None and b.data.shape != ((heads or 1) * m,):
+        raise ShapeError("matmul", f"bias {b.shape} does not match out dim {(heads or 1) * m}")
+    if heads:
+        # Strided views of each head's channels, no copies: one GEMM per
+        # head and sequence, as separate heads would run.
+        out = np.empty(xd.shape[:-1] + (heads * m,))
+        wv = wd.reshape((heads,) + (1,) * (xd.ndim - 2) + (n, m))
+        np.matmul(_split(xd, heads), wv, out=_split(out, heads))
+    else:
+        out = xd @ wd
     if b is not None:
         out += b.data
 
     def back(dout):
-        # One 2-d GEMM over all rows: numpy runs a stacked product as one
-        # small GEMM per sequence.
-        dflat = dout.reshape(-1, m)
-        grads = [(x, (dflat @ w.data.T).reshape(x.shape)), (w, x.data.reshape(-1, n).T @ dflat)]
+        # One 2-d GEMM over all rows (per head): numpy runs a stacked
+        # product as one small GEMM per sequence.
+        dflat = _flat(dout, heads)
+        if heads:
+            # Contiguous, as a separate head's gradient is: with one output
+            # per head, numpy runs the weight product as a matrix-vector
+            # product, which rounds differently for a strided vector.
+            dflat = dflat.copy()
+        dx = np.empty(xd.shape)
+        np.matmul(dflat, wd.swapaxes(-1, -2), out=_flat(dx, heads))
+        grads = [(x, dx), (w, _flat(xd, heads).swapaxes(-1, -2) @ dflat)]
         if b is not None:
-            grads.append((b, dflat.sum(axis=0)))
+            grads.append((b, dout.reshape(-1, b.data.shape[0]).sum(axis=0)))
         return grads
 
     return _emit("matmul", out, back,
-                 lambda: n * _bound(x) * _bound(w) + (0.0 if b is None else _bound(b)))
+                 lambda: n * _bound(x) * _bound(w) + (0.0 if b is None else _bound(b)), act, res)
 
 
 def concat(xs: Sequence[Tensor]) -> Tensor:
     """Join tensors along the last axis; all other axes must agree."""
-    if not xs or any(x.data.ndim < 1 or x.shape[:-1] != xs[0].shape[:-1] for x in xs):
-        raise ShapeError("concat", f"shapes {[x.shape for x in xs]} differ before the last axis")
-    out = np.concatenate([x.data for x in xs], axis=-1)
+    try:
+        out = np.concatenate([x.data for x in xs], axis=-1)
+    except ValueError:
+        shapes = [x.shape for x in xs]
+        raise ShapeError("concat", f"shapes {shapes} differ before the last axis") from None
 
     def back(dout):
         ends = np.cumsum([x.shape[-1] for x in xs])
@@ -391,35 +531,45 @@ def concat(xs: Sequence[Tensor]) -> Tensor:
     return _emit("concat", out, back, lambda: builtins.sum(_bound(x) for x in xs))
 
 
-def gated_tanh(z: Tensor) -> Tensor:
-    """WaveNet gate ``tanh(z[..., :C]) * sigmoid(z[..., C:])`` for ``2C`` channels."""
-    if z.data.ndim < 1 or z.shape[-1] % 2:
-        raise ShapeError("gated_tanh", f"last axis must hold 2C channels, got {z.shape}")
-    c = z.shape[-1] // 2
-    a = np.tanh(z.data[..., :c])
-    s = _sigmoid(z.data[..., c:])
-
-    def back(dout):
-        # dz = [dout * s * (1 - a * a), dout * a * s * (1 - s)]
-        # Each half is built in a contiguous buffer, then copied in: numpy
-        # loops over a strided half row by row.
-        dz = np.empty_like(z.data)
-        t = np.multiply(a, a)
-        np.subtract(1.0, t, out=t)
-        half = np.multiply(dout, s)
-        half *= t
-        dz[..., :c] = half
-        np.multiply(dout, a, out=half)
-        half *= s
-        half *= np.subtract(1.0, s, out=t)
-        dz[..., c:] = half
-        return [(z, dz)]
-
-    return _emit("gated_tanh", a * s, back, lambda: _unit(z))
+@functools.lru_cache(maxsize=1024)
+def _tap_plan(kernel: int, length: int, dilation: int):
+    """``(reach, taps)``: the off-centre taps within ``reach`` of the centre
+    reach a real position, and ``taps`` holds ``(tap, input slice, output
+    slice)`` for each of them; output position p reads input p + offset."""
+    centre = kernel // 2
+    reach = min(centre, (length - 1) // dilation)
+    taps = []
+    for k in range(centre - reach, centre + reach + 1):
+        off = (k - centre) * dilation
+        if off > 0:
+            taps.append((k, slice(off, None), slice(None, length - off)))
+        elif off < 0:
+            taps.append((k, slice(None, length + off), slice(-off, None)))
+    return reach, tuple(taps)
 
 
-def conv1d_dilated(x: Tensor, w: Tensor, b: Tensor | None = None, dilation: int = 1) -> Tensor:
-    """Non-causal dilated 1-d convolution preserving sequence length.
+def _conv_back(x, w, dout, dx, dw, reach, taps) -> None:
+    """Write the input and weight gradients of ``conv1d_dilated`` into
+    ``dx`` and ``dw``.  Products are 2-d GEMMs over all rows, as in
+    matmul's backward."""
+    kernel, c_in, c_out = w.shape
+    centre = kernel // 2
+    dflat = dout.reshape(-1, c_out)
+    np.matmul(dflat, w[centre].T, out=dx.reshape(-1, c_in))
+    dw[: centre - reach] = 0.0  # every other tap is written below
+    dw[centre + reach + 1 :] = 0.0
+    np.matmul(x.reshape(-1, c_in).T, dflat, out=dw[centre])
+    for k, src, dst in taps:
+        ds = dout[..., dst, :]
+        dsflat = np.ascontiguousarray(ds).reshape(-1, c_out)
+        np.matmul(x[..., src, :].reshape(-1, c_in).T, dsflat, out=dw[k])
+        dx[..., src, :] += (dsflat @ w[k].T).reshape(ds.shape[:-1] + (c_in,))
+
+
+def conv1d_dilated(
+    x: Tensor, w: Tensor, b: Tensor | None = None, dilation: int = 1, *, act: str | None = None
+) -> Tensor:
+    """Non-causal dilated 1-d convolution preserving sequence length, then ``act``.
 
     ``x`` has shape ``(..., length, in_channels)``, ``w`` has shape
     ``(kernel, in_channels, out_channels)`` with odd kernel, and the input
@@ -429,56 +579,59 @@ def conv1d_dilated(x: Tensor, w: Tensor, b: Tensor | None = None, dilation: int 
     output it reaches, and a tap whose offset is at least the length only
     ever sees padding and is skipped.  The bias ends in ``out_channels``
     and broadcasts to the output, e.g. ``(out_channels,)`` or a
-    per-position ``(..., length, out_channels)``.
+    per-position ``(..., length, out_channels)``.  ``act`` is an activation
+    as for :func:`matmul`.  A weight with a head axis, ``(heads, kernel,
+    in, out)``, convolves each head's slice of a ``heads * in`` input
+    axis into its slice of a ``heads * out`` output axis.
     """
+    op = "conv1d_dilated"
     if dilation < 1:
-        raise ShapeError("conv1d_dilated", f"dilation must be >= 1, got {dilation}")
-    if w.data.ndim != 3:
-        raise ShapeError("conv1d_dilated", f"weight must be (kernel, in, out), got {w.shape}")
-    kernel, c_in, c_out = w.shape
-    if kernel % 2 != 1:
-        raise ShapeError("conv1d_dilated", f"kernel must be odd for symmetric padding, got {kernel}")
-    if x.data.ndim < 2 or x.shape[-1] != c_in:
-        raise ShapeError("conv1d_dilated", f"input {x.shape} does not match weight {w.shape}")
-    if b is not None and b.shape[-1:] != (c_out,):
-        raise ShapeError("conv1d_dilated", f"bias {b.shape} does not match out channels {c_out}")
-
-    length = x.shape[-2]
-    centre = kernel // 2
+        raise ShapeError(op, f"dilation must be >= 1, got {dilation}")
     xd, wd = x.data, w.data
-    # (tap, input slice, output slice) for every off-centre tap that reaches
-    # a real position, those within ``reach`` of the centre: output
-    # position p reads input position p + offset.
-    reach = min(centre, (length - 1) // dilation)
-    taps = []
-    for k in range(centre - reach, centre + reach + 1):
-        off = (k - centre) * dilation
-        if off > 0:
-            taps.append((k, slice(off, None), slice(None, length - off)))
-        elif off < 0:
-            taps.append((k, slice(None, length + off), slice(-off, None)))
-    out = xd @ wd[centre]
+    if wd.ndim not in (3, 4):
+        raise ShapeError(op, f"weight must be ([heads,] kernel, in, out), got {w.shape}")
+    heads = wd.shape[0] if wd.ndim == 4 else 0
+    kernel, c_in, c_out = wd.shape[-3:]
+    if kernel % 2 != 1:
+        raise ShapeError(op, f"kernel must be odd for symmetric padding, got {kernel}")
+    if xd.ndim < 2 or xd.shape[-1] != (heads or 1) * c_in:
+        raise ShapeError(op, f"input {x.shape} does not match weight {w.shape}")
+    if b is not None and b.shape[-1:] != ((heads or 1) * c_out,):
+        raise ShapeError(op, f"bias {b.shape} does not match out channels {(heads or 1) * c_out}")
+
+    length = xd.shape[-2]
+    centre = kernel // 2
+    reach, taps = _tap_plan(kernel, length, dilation)
+    if heads:
+        # Strided views of each head's channels, no copies: each head's taps
+        # are products with its own weight, one GEMM per head and sequence,
+        # as separate heads would run.
+        out = np.empty(xd.shape[:-1] + (heads * c_out,))
+        xv, ov = _split(xd, heads), _split(out, heads)
+        wd = wd.swapaxes(0, 1)[(slice(None), slice(None)) + (None,) * (xd.ndim - 2)]
+        np.matmul(xv, wd[centre], out=ov)
+    else:
+        xv = xd
+        out = ov = xd @ wd[centre]
     if b is not None:
         try:
             out += b.data
         except ValueError:
-            raise ShapeError("conv1d_dilated", f"bias {b.shape} does not fit {out.shape}") from None
+            raise ShapeError(op, f"bias {b.shape} does not fit {out.shape}") from None
     for k, src, dst in taps:
-        out[..., dst, :] += xd[..., src, :] @ wd[k]
+        ov[..., dst, :] += xv[..., src, :] @ wd[k]
 
     def back(dout):
-        # Products are 2-d GEMMs over all rows, as in matmul's backward.
-        dflat = dout.reshape(-1, c_out)
-        dx = (dflat @ wd[centre].T).reshape(xd.shape)
-        dw = np.empty_like(wd)  # every tap is written below or zeroed here
-        dw[: centre - reach] = 0.0
-        dw[centre + reach + 1 :] = 0.0
-        dw[centre] = xd.reshape(-1, c_in).T @ dflat
-        for k, src, dst in taps:
-            ds = dout[..., dst, :]
-            dsflat = np.ascontiguousarray(ds).reshape(-1, c_out)
-            dw[k] = xd[..., src, :].reshape(-1, c_in).T @ dsflat
-            dx[..., src, :] += (dsflat @ wd[k].T).reshape(ds.shape[:-1] + (c_in,))
+        dx = np.empty(xd.shape)
+        dw = np.empty_like(w.data)
+        if heads:
+            # One head at a time, on views of its channels, so that no
+            # temporary is wider than a separate head's.
+            dd, dxv = _split(dout, heads), _split(dx, heads)
+            for h in range(heads):
+                _conv_back(xv[h], w.data[h], dd[h], dxv[h], dw[h], reach, taps)
+        else:
+            _conv_back(xd, w.data, dout, dx, dw, reach, taps)
         grads = [(x, dx), (w, dw)]
         if b is not None:
             # Sum the leading axes the bias lacks as one, in matmul's order.
@@ -487,19 +640,28 @@ def conv1d_dilated(x: Tensor, w: Tensor, b: Tensor | None = None, dilation: int 
             grads.append((b, _unbroadcast(db, b.shape)))
         return grads
 
-    return _emit("conv1d_dilated", out, back,
-                 lambda: kernel * c_in * _bound(x) * _bound(w) + (0.0 if b is None else _bound(b)))
+    return _emit(op, out, back,
+                 lambda: kernel * c_in * _bound(x) * _bound(w) + (0.0 if b is None else _bound(b)),
+                 act)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then scale and shift."""
-    c = x.shape[-1]
-    if gain.shape != (c,) or bias.shape != (c,):
-        raise ShapeError("layer_norm", f"gain/bias must be ({c},), got {gain.shape}/{bias.shape}")
+    """Normalize the last axis to zero mean / unit variance, then scale and shift.
+
+    A ``(heads, c)`` gain and bias normalize each head's ``c``-wide slice of
+    a ``heads * c`` last axis on its own, as separate calls would.
+    """
+    c = gain.shape[-1]
+    if gain.data.ndim not in (1, 2) or bias.shape != gain.shape or x.shape[-1:] != (gain.size,):
+        raise ShapeError("layer_norm", f"gain/bias {gain.shape}/{bias.shape} do not fit {x.shape}")
+    shape = x.shape[:-1] + gain.shape  # heads split off the last axis
+    out_data = np.empty(x.shape)
+    out = out_data.reshape(shape)
     # xc = x - mean(x); inv = 1 / sqrt(mean(xc * xc) + eps); xhat = xc * inv
-    mu = np.add.reduce(x.data, axis=-1, keepdims=True) / c
-    xhat = np.subtract(x.data, mu)
-    out = np.multiply(xhat, xhat)
+    xd = x.data.reshape(shape)
+    mu = np.add.reduce(xd, axis=-1, keepdims=True) / c
+    xhat = np.subtract(xd, mu)
+    np.multiply(xhat, xhat, out=out)
     inv = np.add.reduce(out, axis=-1, keepdims=True) / c
     inv += eps
     np.sqrt(inv, out=inv)
@@ -511,21 +673,22 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     def back(dout):
         # dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)),
         # dxhat = dout * gain
+        dout = dout.reshape(shape)
         dx = np.multiply(dout, gain.data)
         t = np.multiply(dx, xhat)
         m2 = np.add.reduce(t, axis=-1, keepdims=True) / c
         dx -= np.add.reduce(dx, axis=-1, keepdims=True) / c
         dx -= np.multiply(xhat, m2, out=t)
         dx *= inv
-        dg = np.multiply(dout, xhat, out=t).reshape(-1, c).sum(axis=0)
-        db = dout.reshape(-1, c).sum(axis=0)
-        return [(x, dx), (gain, dg), (bias, db)]
+        dg = np.multiply(dout, xhat, out=t).reshape((-1,) + gain.shape).sum(axis=0)
+        db = dout.reshape((-1,) + gain.shape).sum(axis=0)
+        return [(x, dx.reshape(x.shape)), (gain, dg), (bias, db)]
 
     def bound():  # |xhat| <= sqrt(c) while xc * xc cannot overflow
         ok = _bound(x) < 1e150 and eps > 0.0
         return math.sqrt(c) * _bound(gain) + _bound(bias) if ok else math.inf
 
-    return _emit("layer_norm", out, back, bound)
+    return _emit("layer_norm", out_data, back, bound)
 
 
 def dropout(x: Tensor, rate: float, rng: "Rng", training: bool) -> Tensor:
@@ -535,12 +698,17 @@ def dropout(x: Tensor, rate: float, rng: "Rng", training: bool) -> Tensor:
     if not training or rate == 0.0:
         return x
     keep = 1.0 - rate
-    mask = (rng.uniform(x.shape) < keep) / keep
+    # The tape keeps a boolean mask, an eighth of a scaled one's size, and
+    # both passes mask then scale in one buffer: the values of a * (m / keep).
+    kept = rng.uniform(x.shape) < keep
 
-    def back(dout):
-        return [(x, dout * mask)]
+    def scaled(a):
+        out = np.multiply(a, kept)
+        out *= 1.0 / keep
+        return out
 
-    return _emit("dropout", x.data * mask, back, lambda: _bound(x) * (1.0 / keep))
+    return _emit("dropout", scaled(x.data), lambda dout: [(x, scaled(dout))],
+                 lambda: _bound(x) * (1.0 / keep))
 
 
 def embed_lookup(table: Tensor, ids: np.ndarray) -> Tensor:

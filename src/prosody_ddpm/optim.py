@@ -14,6 +14,9 @@ from .config import OptimizerSection
 from .numerics import Gradients, Tensor
 
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+# Each parameter is updated in runs of this many elements, so that the
+# update's passes over a run stay in cache.
+CHUNK = 1 << 14
 
 
 class Adam:
@@ -40,21 +43,26 @@ class Adam:
                 self.v[name] = v
             else:
                 v = self.v[name]
-            # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2;
-            # p - (lr / bc1) m / (sqrt(v / bc2) + eps)
-            t = np.multiply(g, 1.0 - BETA1)
-            m *= BETA1
-            m += t
-            np.multiply(g, g, out=t)
-            t *= 1.0 - BETA2
-            v *= BETA2
-            v += t
-            np.divide(v, bc2, out=t)
-            np.sqrt(t, out=t)
-            t += EPS
-            new = np.multiply(m, lr / bc1)
-            new /= t
-            out[name] = Tensor(np.subtract(p.data, new, out=new), _checked_op=None)
+            new = np.empty_like(p.data)
+            flat = [a.reshape(-1) for a in (g, m, v, p.data, new)]
+            for i in range(0, p.size, CHUNK):
+                gi, mi, vi, pi, ni = (a[i : i + CHUNK] for a in flat)
+                # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2;
+                # p - (lr / bc1) m / (sqrt(v / bc2) + eps)
+                t = np.multiply(gi, 1.0 - BETA1)
+                mi *= BETA1
+                mi += t
+                np.multiply(gi, gi, out=t)
+                t *= 1.0 - BETA2
+                vi *= BETA2
+                vi += t
+                np.divide(vi, bc2, out=t)
+                np.sqrt(t, out=t)
+                t += EPS
+                np.multiply(mi, lr / bc1, out=ni)
+                ni /= t
+                np.subtract(pi, ni, out=ni)
+            out[name] = Tensor(new, _checked_op=None)
         return out
 
     def load_state(self, t: int, rows: list[tuple[str, np.ndarray, np.ndarray]]) -> None:

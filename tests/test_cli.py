@@ -171,7 +171,7 @@ class TestTrainModel:
     def test_baseline_training_runs(self, tiny_corpus):
         ck, log = train_model(tiny_config(("train.steps", "20")), tiny_corpus, "baseline")
         assert ck.kind == "baseline"
-        assert any(k.startswith("pitch.") for k in ck.params)
+        assert ck.params["conv2.w"].shape[0] == 3  # one stacked network, a head axis
 
     @pytest.mark.parametrize("kind", ["ddpm", "baseline"])
     def test_step_memory_backward_and_tape_lifetime(self, kind, tiny_corpus, monkeypatch):
@@ -359,7 +359,7 @@ class TestCommands:
         rc = main(["sample", "--checkpoint", str(old), "--tokens", "0 1",
                    "--out", str(tmp_path / "s.tsv")])
         assert rc == 2
-        assert f"checkpoint format v{version} is older than v5; retrain" in capsys.readouterr().err
+        assert f"checkpoint format v{version} is older than v6; retrain" in capsys.readouterr().err
         assert not (tmp_path / "s.tsv").exists()
 
     def test_eval_report_states_parameter_counts(self, untrained, tiny_corpus_file, tmp_path):

@@ -279,7 +279,17 @@ class TestCheckpoint:
         save_checkpoint(_dummy_checkpoint(), path)
         data = path.read_bytes()
         path.write_bytes(data[:4] + struct.pack("<I", version) + data[8:])
-        message = f"{path}: checkpoint format v{version} is older than v5; retrain"
+        message = f"{path}: checkpoint format v{version} is older than v6; retrain"
+        with pytest.raises(CheckpointError, match=re.escape(message)):
+            load_checkpoint(path)
+
+    def test_v5_rejected_naming_the_stacked_baseline(self, tmp_path):
+        path = tmp_path / "v5.bin"
+        save_checkpoint(_dummy_checkpoint(), path)
+        data = path.read_bytes()
+        path.write_bytes(data[:4] + struct.pack("<I", 5) + data[8:])
+        message = (f"{path}: checkpoint format v5 is older than v6, which stores the baseline"
+                   " as one stacked network; retrain")
         with pytest.raises(CheckpointError, match=re.escape(message)):
             load_checkpoint(path)
 

@@ -105,10 +105,11 @@ class TestForward:
 
 
 def test_forward_tape_does_only_input_dependent_work(rng):
-    # One reverse step at six layers records 31 primitives.  The step
-    # features join the residual stream once and each condition
-    # projection is its conv's bias, so no add takes a conv output and
-    # the only adds are the step join and the five residual adds.
+    # One reverse step at six layers records 16 primitives.  Each linear op
+    # takes its activation and residual add as an epilogue: the input
+    # projection its ReLU and the step features, each conv its gate, each
+    # residual 1x1 its add to the stream, and the skip and post projections
+    # their ReLUs.
     cfg = Config(denoiser=replace(SMALL.denoiser, layers=6, dilation_cycle=(1, 2, 4)))
     den = Denoiser.init(cfg, Rng(0))
     cond = den.condition(Tensor(rng.normal((2, 5, 6))))
@@ -116,13 +117,18 @@ def test_forward_tape_does_only_input_dependent_work(rng):
     with Tape() as tape:
         den.forward(Tensor(rng.normal((2, 5, 3))), cond, e)
     ops = Counter(op for op, _, _ in tape.records)
-    assert ops == {"matmul": 9, "conv1d_dilated": 6, "gated_tanh": 6, "add": 6, "relu": 3,
-                   "concat": 1}
-    conv_outs = {id(out) for op, out, _ in tape.records if op == "conv1d_dilated"}
-    for op, out, back in tape.records:
-        if op == "add":
-            # An add's backward names its two inputs.
-            assert not conv_outs & {id(inp) for inp, _ in back(np.ones(out.shape))}
+    assert ops == {"matmul": 9, "conv1d_dilated": 6, "concat": 1}
+
+
+def test_step_mlp_and_condition_encoder_tapes(rng):
+    # The step MLP's SiLU and the encoder's first-conv SiLU are epilogues.
+    den, enc = small_models()
+    with Tape() as tape:
+        den.steps(np.array([3, 9]))
+    assert [op for op, _, _ in tape.records] == ["matmul", "matmul"]
+    with Tape() as tape:
+        enc.forward(np.array([[0, 1, 2], [4, 3, 1]]))
+    assert [op for op, _, _ in tape.records] == ["embed_lookup", "conv1d_dilated", "conv1d_dilated"]
 
 
 def test_condition_tape_is_one_matmul_per_layer(rng):
@@ -285,7 +291,7 @@ def _reference_forward(c: DenoiserSection, p: dict, x_t, cond, t):
     if x_t.data.ndim == 2:
         emb = emb[0]
     e = nm.add(nm.matmul(Tensor(emb), p["step.fc1.w"]), p["step.fc1.b"])
-    e = nm.add(nm.matmul(nm.silu(e), p["step.fc2.w"]), p["step.fc2.b"])
+    e = nm.add(nm.matmul(nm.mul(e, nm.sigmoid(e)), p["step.fc2.w"]), p["step.fc2.b"])
     h = nm.relu(nm.add(nm.matmul(x_t, p["in.w"]), p["in.b"]))
     skip_sum = None
     for i in range(c.layers):

@@ -323,6 +323,24 @@ class TestSampling:
         np.testing.assert_array_equal(a.duration, b.duration)
         assert not np.array_equal(a.pitch, c.pitch)
 
+    def test_chain_scans_no_step_feature_row(self, rng, monkeypatch):
+        # Each row of the step-feature array carries the array's bound, so no
+        # reverse step scans its (1, C) row; each step scans its x_t leaf.
+        cfg = DenoiserSection(channels=8, layers=2, dilation_cycle=(1, 2), cond_dim=4, step_hidden=8)
+        den = Denoiser.init(Config(denoiser=cfg), rng)
+        scans = []
+        bound = nm._bound
+
+        def counting(t):
+            if t.bound is None:
+                scans.append(t.shape)
+            return bound(t)
+
+        monkeypatch.setattr(nm, "_bound", counting)
+        sample_model_space(den, Tensor(rng.normal((3, 4))), linear_schedule(25, 1e-3, 0.2), Rng(1))
+        assert (1, 8) not in scans
+        assert scans.count((3, 3)) == 25
+
     def test_sample_output_is_physical(self, rng):
         cfg = DenoiserSection(channels=8, layers=2, dilation_cycle=(1, 2), cond_dim=4, step_hidden=8)
         den = Denoiser.init(Config(denoiser=cfg), rng)

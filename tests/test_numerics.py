@@ -187,7 +187,8 @@ class TestBackward:
         "name",
         ["add", "sub", "mul", "tanh", "sigmoid", "relu", "silu", "matmul", "conv", "conv_dil",
          "layer_norm", "embed", "dropout", "sum", "mean", "gated_tanh", "concat", "matmul_bias",
-         "conv_bias_rows", "conv_bias_broadcast", "conv_bias_per_row"],
+         "conv_bias_rows", "conv_bias_broadcast", "conv_bias_per_row", "matmul_relu_res",
+         "conv_relu", "conv_silu", "matmul_heads", "conv_heads", "layer_norm_heads"],
     )
     def test_every_primitive_finite_differences(self, name, rng):
         x = Tensor(rng.normal((4, 6)) + 0.3)  # offset keeps relu off its kink
@@ -199,7 +200,10 @@ class TestBackward:
             "tanh": ({"a": x}, lambda p: nm.mean(nm.tanh(p["a"]))),
             "sigmoid": ({"a": x}, lambda p: nm.mean(nm.sigmoid(p["a"]))),
             "relu": ({"a": x}, lambda p: nm.mean(nm.relu(p["a"]))),
-            "silu": ({"a": x}, lambda p: nm.mean(nm.mul(nm.silu(p["a"]), y))),
+            "silu": (
+                {"a": x, "w": Tensor(rng.normal((6, 6))), "b": Tensor(rng.normal(6))},
+                lambda p: nm.mean(nm.mul(nm.matmul(p["a"], p["w"], p["b"], act="silu"), y)),
+            ),
             "matmul": (
                 {"a": x, "w": Tensor(rng.normal((6, 3)))},
                 lambda p: nm.mean(nm.matmul(p["a"], p["w"])),
@@ -233,8 +237,9 @@ class TestBackward:
             "sum": ({"a": x}, lambda p: nm.sum(nm.mul(p["a"], p["a"]))),
             "mean": ({"a": x}, lambda p: nm.mean(nm.mul(p["a"], 2.5))),
             "gated_tanh": (
-                {"a": x},
-                lambda p: nm.mean(nm.mul(nm.gated_tanh(p["a"]), nm.gated_tanh(p["a"]))),
+                {"a": x, "w": Tensor(rng.normal((3, 6, 4))), "b": Tensor(rng.normal(4))},
+                lambda p: nm.mean(nm.mul(nm.conv1d_dilated(p["a"], p["w"], p["b"], act="gate"),
+                                         nm.conv1d_dilated(p["a"], p["w"], p["b"], act="gate"))),
             ),
             # Distinct weights per column tell the joined slices apart.
             "concat": (
@@ -248,6 +253,25 @@ class TestBackward:
                 lambda p: nm.mean(nm.mul(nm.matmul(p["a"], p["w"], p["b"]),
                                          nm.matmul(p["a"], p["w"], p["b"]))),
             ),
+            # The residual broadcasts over the rows.
+            "matmul_relu_res": (
+                {"a": x, "w": Tensor(rng.normal((6, 3))), "b": Tensor(rng.normal(3)),
+                 "r": Tensor(rng.normal(3))},
+                lambda p, wo=Tensor(rng.normal((4, 3))): nm.mean(
+                    nm.mul(nm.matmul(p["a"], p["w"], p["b"], act="relu", res=p["r"]), wo)
+                ),
+            ),
+            "matmul_heads": (
+                {"a": x, "w": Tensor(rng.normal((2, 3, 2))), "b": Tensor(rng.normal(4))},
+                lambda p: nm.mean(nm.mul(nm.matmul(p["a"], p["w"], p["b"]),
+                                         nm.matmul(p["a"], p["w"], p["b"]))),
+            ),
+            "layer_norm_heads": (
+                {"a": x, "g": Tensor(rng.normal((2, 3)) + 1.0), "b": Tensor(rng.normal((2, 3)))},
+                lambda p, wo=Tensor(rng.normal((4, 6))): nm.mean(
+                    nm.mul(nm.layer_norm(p["a"], p["g"], p["b"]), wo)
+                ),
+            ),
         }
         # Broadcast conv biases: one per row and position, one per position
         # shared by the rows, and one per row shared by the positions.
@@ -259,6 +283,18 @@ class TestBackward:
                 {"a": x3, "w": w5, "b": Tensor(rng.normal(bias_shape))},
                 lambda p: nm.mean(nm.tanh(nm.conv1d_dilated(p["a"], p["w"], p["b"], dilation=2))),
             )
+        for key, act in [("conv_relu", "relu"), ("conv_silu", "silu")]:
+            builders[key] = (
+                {"a": x3, "w": w5, "b": Tensor(rng.normal(2))},
+                lambda p, act=act, wo=Tensor(rng.normal((2, 4, 2))): nm.mean(
+                    nm.mul(nm.conv1d_dilated(p["a"], p["w"], p["b"], dilation=2, act=act), wo)
+                ),
+            )
+        # Two heads of kernel 5 at dilation 2 on 4 positions skip the outer taps.
+        builders["conv_heads"] = (
+            {"a": x3, "w": Tensor(rng.normal((2, 5, 3, 2))), "b": Tensor(rng.normal(4))},
+            lambda p: nm.mean(nm.tanh(nm.conv1d_dilated(p["a"], p["w"], p["b"], dilation=2))),
+        )
         tensors, fn = builders[name]
         fd_check(fn, tensors)
 
@@ -288,7 +324,9 @@ class TestBackward:
             ("add", lambda: nm.add(Tensor(np.full(3, 1e308)), Tensor(np.full(3, 1e308)))),
             # tanh(inf) == 1, so the gate alone would hide the conv's overflow:
             # the check must catch it where it is made, with no tape recording.
-            ("conv1d_dilated", lambda: nm.gated_tanh(nm.conv1d_dilated(x, w))),
+            ("conv1d_dilated", lambda: nm.conv1d_dilated(x, w, act="gate")),
+            # relu(-inf) == 0 hides it as well.
+            ("matmul", lambda: nm.matmul(x, Tensor(np.full((2, 2), -1e200)), act="relu")),
         ]
         for op, make in cases:
             assert nm._active_tape() is None
@@ -393,9 +431,10 @@ class TestTensor:
 
 def _primitive_calls(rng, leaf=Tensor):
     """``(name, call, ops it records, writeable arrays it is handed)`` for
-    every primitive, including a 0-d ``mul(sum(x), k)``.  ``leaf`` makes the
-    input tensors from their arrays, always in this order: ``x``, ``z``,
-    ``y``, ``w``, ``b``, ``cw``, ``cb``, ``table``, ``g``."""
+    every primitive and every epilogue and head-axis form, including a 0-d
+    ``mul(sum(x), k)``.  ``leaf`` makes the input tensors from their arrays,
+    always in this order: ``x``, ``z``, ``y``, ``w``, ``b``, ``cw``, ``cb``,
+    ``table``, ``g``, ``hw``, ``hcw``, ``hg``."""
     x = leaf(rng.normal((2, 4, 6)))
     z = leaf(rng.normal((2, 4, 6)))
     y = leaf(rng.normal(6))
@@ -403,6 +442,8 @@ def _primitive_calls(rng, leaf=Tensor):
     cw, cb = leaf(rng.normal((3, 6, 4))), leaf(rng.normal(4))
     table = leaf(rng.normal((5, 6)))
     g = leaf(rng.normal(6))
+    hw, hcw = leaf(rng.normal((2, 3, 2))), leaf(rng.normal((2, 3, 3, 2)))
+    hg = leaf(rng.normal((2, 3)))
     ids = np.array([[0, 4, 2], [1, 1, 3]])
     target = rng.normal((2, 4, 6))
     return [
@@ -413,12 +454,17 @@ def _primitive_calls(rng, leaf=Tensor):
         ("tanh", lambda: nm.tanh(x), ["tanh"], []),
         ("sigmoid", lambda: nm.sigmoid(x), ["sigmoid"], []),
         ("relu", lambda: nm.relu(x), ["relu"], []),
-        ("silu", lambda: nm.silu(x), ["silu"], []),
+        ("silu", lambda: nm.matmul(x, w, b, act="silu"), ["matmul"], []),
         ("matmul", lambda: nm.matmul(x, w, b), ["matmul"], []),
+        ("matmul_relu_res", lambda: nm.matmul(x, w, b, act="relu", res=b), ["matmul"], []),
+        ("matmul_heads", lambda: nm.matmul(x, hw, cb, act="relu"), ["matmul"], []),
         ("concat", lambda: nm.concat([x, z]), ["concat"], []),
-        ("gated_tanh", lambda: nm.gated_tanh(x), ["gated_tanh"], []),
+        ("gated_tanh", lambda: nm.conv1d_dilated(x, cw, cb, dilation=2, act="gate"),
+         ["conv1d_dilated"], []),
         ("conv1d_dilated", lambda: nm.conv1d_dilated(x, cw, cb, dilation=2), ["conv1d_dilated"], []),
+        ("conv_heads", lambda: nm.conv1d_dilated(x, hcw, cb, act="silu"), ["conv1d_dilated"], []),
         ("layer_norm", lambda: nm.layer_norm(x, g, y), ["layer_norm"], []),
+        ("layer_norm_heads", lambda: nm.layer_norm(x, hg, hg), ["layer_norm"], []),
         ("dropout", lambda: nm.dropout(x, 0.5, Rng(3), True), ["dropout"], []),
         ("embed_lookup", lambda: nm.embed_lookup(table, ids), ["embed_lookup"], [ids]),
         ("sum", lambda: nm.sum(x), ["sum"], []),
@@ -456,7 +502,7 @@ def test_primitive_outputs_follow_tensor_conventions(name, rng):
 # taped path scans every output, so it is the oracle: both paths must raise
 # at the same primitive or return the same values.
 
-N_LEAVES = 9  # the inputs ``_primitive_calls`` makes
+N_LEAVES = 12  # the inputs ``_primitive_calls`` makes
 
 
 def _outcome(call, taped: bool):
@@ -517,8 +563,10 @@ def test_mean_of_no_elements_raises_without_a_tape():
 
 
 def test_reverse_step_scans_no_primitive_output_without_a_tape(monkeypatch):
-    # Acceptance size (6 layers): the 31 outputs of one batch-1 reverse step
-    # are all proven finite by their bounds; under a tape each is scanned.
+    # Acceptance size (6 layers): the 16 outputs of one batch-1 reverse step
+    # are all proven finite by their bounds.  Under a tape each is scanned,
+    # and so is the pre-activation of each of the 9 records with an
+    # activation epilogue.
     from prosody_ddpm.config import Config, DenoiserSection
     from prosody_ddpm.denoiser import Denoiser
     from prosody_ddpm.diffusion import linear_schedule, reverse_step
@@ -546,37 +594,32 @@ def test_reverse_step_scans_no_primitive_output_without_a_tape(monkeypatch):
     assert scanned == []
     with Tape() as tape:
         taped = reverse_step(den, x, constants, e, 150, z, sched)
-    assert len(scanned) == len(tape.records) == 31
+    assert len(tape.records) == 16
+    assert len(scanned) == 16 + 9
     assert np.array_equal(untaped, taped)
 
 
 # -- MSE reference ----------------------------------------------------------
 #
-# The two losses as first written: the ddpm loss summed its squared error
-# and divided by the element count, the baseline summed one squared error
-# per head.  Both now go through ``nm.mse`` and must give the same
-# gradients bit for bit.
+# The two losses as first written summed their squared error and divided
+# by the element count.  Both now go through ``nm.mse`` and must give the
+# same gradients bit for bit.
+
+
+def _reference_loss(pred, target):
+    diff = nm.sub(pred, Tensor(target))
+    return nm.mul(nm.sum(nm.mul(diff, diff)), 1.0 / target.size)
 
 
 def _reference_ddpm_loss(model, x0, cond, t, eps, sched):
     from prosody_ddpm.diffusion import forward_diffuse
 
     x_t = forward_diffuse(x0, t, eps, sched)
-    eps_hat = model.forward(Tensor(x_t), model.condition(cond), model.steps(t))
-    diff = nm.sub(eps_hat, Tensor(eps))
-    return nm.mul(nm.sum(nm.mul(diff, diff)), 1.0 / x0.size)
+    return _reference_loss(model.forward(Tensor(x_t), model.condition(cond), model.steps(t)), eps)
 
 
 def _reference_baseline_loss(model, cond, target, rng, training):
-    from prosody_ddpm.baseline import HEADS
-
-    total = None
-    for d, head in enumerate(HEADS):
-        pred = model.head_forward(head, cond, rng, training)
-        diff = nm.sub(pred, Tensor(target[..., d : d + 1]))
-        part = nm.sum(nm.mul(diff, diff))
-        total = part if total is None else nm.add(total, part)
-    return nm.mul(total, 1.0 / target.size)
+    return _reference_loss(model.forward(cond, rng, training), target)
 
 
 def _loss_and_grads(make_loss, tensors):
@@ -678,6 +721,11 @@ def _ref_layer_norm(x, gain, bias, dout, eps=1e-5):
     return xhat * gain + bias, [dx, dg, db]
 
 
+def _ref_dropout(x, kept, keep, dout):
+    mask = kept / keep
+    return x * mask, [dout * mask]
+
+
 def _taped(call):
     """``call()``'s output and its record's backward closure."""
     with Tape() as tape:
@@ -687,23 +735,28 @@ def _taped(call):
 
 @pytest.mark.parametrize("shape", [(16, 11, 256), (1, 11, 256), (7, 6)])
 def test_buffered_primitives_match_their_expressions(shape, rng):
+    # The activation epilogues run on an identity matmul, whose output and
+    # input gradient are exact; its weight gradient is left out.
     x = rng.normal(shape) * 2.0
     g, b = rng.normal(shape[-1]) + 1.0, rng.normal(shape[-1])
+    eye = Tensor(np.eye(shape[-1]))
     dout = rng.normal(shape)
     half = shape[:-1] + (shape[-1] // 2,)
     cases = [
         ("sigmoid", lambda: nm.sigmoid(Tensor(x)), lambda: _ref_sigmoid_prim(x, dout), dout),
-        ("silu", lambda: nm.silu(Tensor(x)), lambda: _ref_silu(x, dout), dout),
-        ("gated_tanh", lambda: nm.gated_tanh(Tensor(x)),
+        ("silu", lambda: nm.matmul(Tensor(x), eye, act="silu"), lambda: _ref_silu(x, dout), dout),
+        ("gated_tanh", lambda: nm.matmul(Tensor(x), eye, act="gate"),
          lambda: _ref_gated_tanh(x, dout[..., : half[-1]]), dout[..., : half[-1]].copy()),
         ("layer_norm", lambda: nm.layer_norm(Tensor(x), Tensor(g), Tensor(b)),
          lambda: _ref_layer_norm(x, g, b, dout), dout),
+        ("dropout", lambda: nm.dropout(Tensor(x), 0.3, Rng(3), True),
+         lambda: _ref_dropout(x, Rng(3).uniform(shape) < 0.7, 0.7, dout), dout),
     ]
     for name, call, reference, d in cases:
         out, back = _taped(call)
         want_out, want_grads = reference()
         assert np.array_equal(out.data, want_out), name
-        grads = [grad for _, grad in back(d)]
+        grads = [grad for inp, grad in back(d) if inp is not eye]
         assert len(grads) == len(want_grads), name
         for got, want in zip(grads, want_grads):
             assert np.array_equal(got, want), name
@@ -805,3 +858,117 @@ def test_conv_backward_matches_stacked_products(lead, rng):
             grads = [grad for _, grad in back(dout)]
             _assert_backward_matches(grads, _ref_conv_back(x, w, b, dilation, dout),
                                      lead in [(), (1,)], (kernel, dilation, length, bias_shape))
+
+
+# -- Epilogues and head axes ------------------------------------------------
+#
+# Each fused form against the separate primitives it replaces, built on the
+# same leaves: the value and every leaf gradient match bit for bit.  The
+# references pick parts of a tensor with ``_take``, whose backward pads the
+# gradient with zeros, which adds exactly.
+
+
+def _take(x, index):
+    def back(dout):
+        dx = np.zeros(x.shape)
+        dx[index] = dout
+        return [(x, dx)]
+
+    return nm._emit("take", x.data[index].copy(), back, lambda: nm._bound(x))
+
+
+def _last(x, lo, hi):
+    return _take(x, (Ellipsis, slice(lo, hi)))
+
+
+def _gate_ref(z):
+    c = z.shape[-1] // 2
+    return nm.mul(nm.tanh(_last(z, 0, c)), nm.sigmoid(_last(z, c, 2 * c)))
+
+
+UNFUSED = {
+    None: lambda z: z,
+    "relu": nm.relu,
+    "silu": lambda z: nm.mul(z, nm.sigmoid(z)),
+    "gate": _gate_ref,
+}
+
+
+def _heads_ref(heads, one_head):
+    """``concat`` over heads of ``one_head(h)``."""
+    return nm.concat([one_head(h) for h in range(heads)])
+
+
+def _assert_same_value_and_grads(fused, unfused, leaves):
+    results = []
+    for build in (fused, unfused):
+        with Tape() as tape:
+            out = build(leaves)
+            weights = Tensor(np.random.default_rng(0).normal(size=out.shape))
+            loss = nm.sum(nm.mul(out, weights))
+        grads = nm.backward(tape, loss)
+        results.append((out.data, [grads.wrt(v) for v in leaves.values()]))
+    (got, got_grads), (want, want_grads) = results
+    assert np.array_equal(got, want)
+    for name, g, w in zip(leaves, got_grads, want_grads):
+        assert np.array_equal(g, w), name
+        assert np.any(g != 0.0), name
+
+
+@pytest.mark.parametrize("lead", [(), (2,)])
+@pytest.mark.parametrize("act", [None, "relu", "silu", "gate"])
+def test_epilogues_match_their_unfused_composition(lead, act, rng):
+    ref = UNFUSED[act]
+    x = Tensor(rng.normal(lead + (4, 6)))
+    # matmul: act after the bias, then a residual of the output's shape or
+    # one row that broadcasts (the gate halves 4 channels to 2).
+    m = 2 if act == "gate" else 4
+    for res_shape in [lead + (4, m), (m,)]:
+        p = {"x": x, "w": Tensor(rng.normal((6, 4))), "b": Tensor(rng.normal(4)),
+             "r": Tensor(rng.normal(res_shape))}
+        _assert_same_value_and_grads(
+            lambda q: nm.matmul(q["x"], q["w"], q["b"], act=act, res=q["r"]),
+            lambda q: nm.add(ref(nm.matmul(q["x"], q["w"], q["b"])), q["r"]),
+            p,
+        )
+    # conv: kernel 5 on 4 positions skips the outer taps at dilation 2.
+    for dilation in (1, 2):
+        for bias_shape in [(4,), lead + (4, 4)]:
+            q = {"x": x, "w": Tensor(rng.normal((5, 6, 4))), "b": Tensor(rng.normal(bias_shape))}
+            _assert_same_value_and_grads(
+                lambda q: nm.conv1d_dilated(q["x"], q["w"], q["b"], dilation, act=act),
+                lambda q: ref(nm.conv1d_dilated(q["x"], q["w"], q["b"], dilation)),
+                q,
+            )
+
+
+@pytest.mark.parametrize("lead", [(), (2,)])
+def test_head_axis_weights_match_separate_heads(lead, rng):
+    # Three heads of 2 input and 4 output channels each (2 per head for the
+    # matmul, so no bias gradient sums a single column).
+    x = Tensor(rng.normal(lead + (4, 6)))
+    for kernel, dilation in [(3, 1), (5, 2)]:
+        for act in (None, "silu"):
+            p = {"x": x, "w": Tensor(rng.normal((3, kernel, 2, 4))), "b": Tensor(rng.normal(12))}
+            _assert_same_value_and_grads(
+                lambda q: nm.conv1d_dilated(q["x"], q["w"], q["b"], dilation, act=act),
+                lambda q: _heads_ref(3, lambda h: UNFUSED[act](nm.conv1d_dilated(
+                    _last(q["x"], 2 * h, 2 * h + 2), _take(q["w"], (h,)),
+                    _take(q["b"], (slice(4 * h, 4 * h + 4),)), dilation))),
+                p,
+            )
+    p = {"x": x, "w": Tensor(rng.normal((3, 2, 2))), "b": Tensor(rng.normal(6))}
+    _assert_same_value_and_grads(
+        lambda q: nm.matmul(q["x"], q["w"], q["b"]),
+        lambda q: _heads_ref(3, lambda h: nm.matmul(
+            _last(q["x"], 2 * h, 2 * h + 2), _take(q["w"], (h,)),
+            _take(q["b"], (slice(2 * h, 2 * h + 2),)))),
+        p,
+    )
+    p = {"x": x, "g": Tensor(rng.normal((3, 2)) + 1.0), "b": Tensor(rng.normal((3, 2)))}
+    _assert_same_value_and_grads(
+        lambda q: nm.layer_norm(q["x"], q["g"], q["b"]),
+        lambda q: _heads_ref(3, lambda h: nm.layer_norm(
+            _last(q["x"], 2 * h, 2 * h + 2), _take(q["g"], (h,)), _take(q["b"], (h,)))),
+        p,
+    )

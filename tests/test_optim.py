@@ -60,9 +60,11 @@ def _reference_step(opt, params, grads, lr):
 def test_step_matches_its_expressions_bit_for_bit():
     # The step writes its intermediates into buffers it owns, keeping every
     # operation and its order; parameters and moments match the expressions.
+    # "w" spans 4 runs of CHUNK elements and "h" 2, the second one short.
     rng = Rng(9)
     lr = 3e-3
-    params = {"w": Tensor(rng.normal((256, 256))), "b": Tensor(rng.normal(7))}
+    params = {"w": Tensor(rng.normal((256, 256))), "b": Tensor(rng.normal(7)),
+              "h": Tensor(rng.normal((3, 7, 1000)))}
     opt, ref = Adam(OptimizerSection(lr=lr)), Adam(OptimizerSection(lr=lr))
     mine = want = params
     for _ in range(4):

@@ -53,7 +53,11 @@ def test_rtf_ratio_tool_prints_every_run_and_the_medians(tmp_path):
             rf"  ms/utt full {number} half {number} baseline {number}",
             line,
         ), line
+    # One layer and 6 steps: encoder 3, chain constants 1 + 2, then per step
+    # the input projection, one gated conv, the skip concat and three
+    # projections; the baseline draw is 3 + 5.
+    assert lines[2] == f"tape records per draw: full {6 + 6 * 6}  half {6 + 3 * 6}  baseline 8"
     assert re.fullmatch(
-        rf"median ddpm/baseline {number}x \(min {number}x\)  median full/half {number}", lines[2]
-    ), lines[2]
-    assert len(lines) == 3
+        rf"median ddpm/baseline {number}x \(min {number}x\)  median full/half {number}", lines[3]
+    ), lines[3]
+    assert len(lines) == 4
